@@ -3,7 +3,7 @@
 //! ```text
 //! climate-wf run [--years N] [--days N] [--grid test_small|demo|LATxLON]
 //!                [--scenario historical|ssp245|ssp585] [--seed N]
-//!                [--policy fifo|locality|heft|lookahead]
+//!                [--policy fifo|locality|heft]
 //!                [--out DIR] [--sequential]
 //!                [--streaming] [--stream-depth N] [--cnn-batch N]
 //!                [--trace out.json] [--metrics out.prom]
@@ -32,7 +32,7 @@ fn usage() -> ! {
          \n\
          run      [--years N] [--days N] [--grid test_small|demo|LATxLON]\n\
          \x20        [--scenario historical|ssp245|ssp585] [--seed N] [--out DIR] [--sequential]\n\
-         \x20        [--policy fifo|locality|heft|lookahead] [--trace out.json] [--metrics out.prom]\n\
+         \x20        [--policy fifo|locality|heft] [--trace out.json] [--metrics out.prom]\n\
          \x20        [--streaming] [--stream-depth N] [--cnn-batch N] in-memory year handoff\n\
          \x20        with incremental record indices and batched CNN inference\n\
          report   [run options] run with profiling: timed critical path with slack,\n\

@@ -1,4 +1,5 @@
-//! The case-study task definitions and the pipelined driver.
+//! The case-study task definitions and the one driver behind the
+//! pipelined, streaming and sequential runs.
 //!
 //! Mirrors Section 5 of the paper. Each stage is a distinct task function
 //! submitted to the dataflow runtime (one color each in the Figure-3
@@ -10,7 +11,7 @@
 //! | 2 | `load_baseline`        | day-of-year baseline climatology cubes (loaded once, reused all run — Sec. 5.3) |
 //! | 3 | `load_model`           | the pre-trained TC-localization CNN |
 //! | 4 | `stage_year`           | streaming detection of a complete year of daily files (Sec. 5.2) |
-//! | 5 | `import_tmax`          | daily-maximum temperature year cube via datacube operators |
+//! | 5 | `import_tmax`          | daily-maximum temperature year cube, folded one day at a time |
 //! | 6 | `import_tmin`          | daily-minimum temperature year cube |
 //! | 7–9 | `hw_duration_max` / `hw_number` / `hw_frequency` | heat-wave indices (Sec. 5.3) |
 //! | 10–12 | `cw_duration_max` / `cw_number` / `cw_frequency` | cold-spell indices |
@@ -25,6 +26,9 @@
 //! everything that crosses the simulation/analytics boundary, and cube ids
 //! into the shared datacube store for in-memory analytics handoff (the
 //! paper's "data could be kept in memory ... as the workflow progresses").
+//! The daily fields themselves reach the tasks that read them as a
+//! `YearSource`: in-memory blocks on the streaming plane, daily files
+//! otherwise.
 
 use crate::error::{WorkflowError, WorkflowStage};
 use crate::params::WorkflowParams;
@@ -38,7 +42,7 @@ use esm::output::DayBlock;
 use esm::{Simulation, YearEvents};
 use extremes::heatwave::{self, WaveParams};
 use extremes::incremental::{EtccdiState, WaveState};
-use extremes::tc::cnn::TcCnn;
+use extremes::tc::cnn::{CnnDetection, FieldSet, TcCnn};
 use extremes::tc::detect::{detect_timestep, DetectorParams};
 use extremes::tc::serve::{BatchPolicy, CnnService};
 use extremes::tc::track::{stitch_tracks, TrackParams};
@@ -47,7 +51,8 @@ use gridded::Field2;
 use ncformat::Reader;
 use parking_lot::Mutex;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -153,35 +158,68 @@ impl Payload for WfData {
 
 /// One simulated year as the streaming plane hands it to analytics: the
 /// daily fields as shared in-memory blocks plus the daily files the same
-/// year was durably written to (the fallback path).
+/// year was durably written to.
 pub struct StreamedYear {
     pub year: i32,
-    /// Watcher-compatible group key (the year as a string).
-    pub key: String,
     pub files: Vec<PathBuf>,
     pub days: Vec<DayBlock>,
 }
 
-/// Keyed shelf of in-flight streamed years. Analysis tasks look their
-/// year up at execution time; a miss means the year must be read back
-/// from its daily files (staged runs, checkpoint-restored years) — the
-/// two paths produce bitwise-identical science, so falling back is
-/// always safe.
-pub struct YearStore {
-    years: Mutex<BTreeMap<String, Arc<StreamedYear>>>,
+/// How one year's daily fields reach its analysis tasks, fixed when the
+/// year is submitted and captured by each task that reads the fields
+/// (`import_tmax`, `import_tmin`, `tc_preprocess`). Either way a consumer
+/// sees one day's variable stack at a time, so the analysis bodies exist
+/// once; the blocks die with the last of those tasks.
+#[derive(Clone)]
+pub(crate) enum YearSource {
+    /// Handed over in memory by the streaming plane.
+    Blocks(Arc<StreamedYear>),
+    /// Read back from the year's daily files (staged and sequential runs,
+    /// checkpoint-restored years).
+    Files(Vec<PathBuf>),
 }
 
-impl YearStore {
-    fn new() -> Self {
-        YearStore { years: Mutex::new(BTreeMap::new()) }
+impl YearSource {
+    /// The year's daily files, in day order.
+    fn files(&self) -> &[PathBuf] {
+        match self {
+            YearSource::Blocks(sy) => &sy.files,
+            YearSource::Files(files) => files,
+        }
     }
 
-    fn insert(&self, year: Arc<StreamedYear>) {
-        self.years.lock().insert(year.key.clone(), year);
+    /// Number of days in the year.
+    fn days(&self) -> usize {
+        self.files().len()
     }
 
-    fn get(&self, key: &str) -> Option<Arc<StreamedYear>> {
-        self.years.lock().get(key).cloned()
+    /// `(lats, lons, steps_per_day)` of the daily fields.
+    fn layout(&self) -> ncformat::Result<(Vec<f64>, Vec<f64>, usize)> {
+        let empty = || ncformat::Error::Corrupt("year without days".into());
+        match self {
+            YearSource::Blocks(sy) => {
+                let b = sy.days.first().ok_or_else(empty)?;
+                Ok((b.grid.lats(), b.grid.lons(), b.steps_per_day))
+            }
+            YearSource::Files(files) => {
+                let rd = Reader::open(files.first().ok_or_else(empty)?)?;
+                Ok((rd.read_all_f64("lat")?, rd.read_all_f64("lon")?, rd.dimension("time")?.size))
+            }
+        }
+    }
+
+    /// The `(time, lat, lon)` stack of `var` on day `day`. The file source
+    /// decodes just that variable of that day.
+    fn stack(&self, day: usize, var: &str) -> ncformat::Result<Cow<'_, [f32]>> {
+        match self {
+            YearSource::Blocks(sy) => sy.days[day]
+                .var(var)
+                .map(|v| Cow::Borrowed(&v[..]))
+                .ok_or_else(|| ncformat::Error::UnknownVariable(var.into())),
+            YearSource::Files(files) => {
+                Ok(Cow::Owned(Reader::open(&files[day])?.read_all_f32(var)?))
+            }
+        }
     }
 }
 
@@ -229,36 +267,6 @@ impl RecordState {
         self.years.push(year);
         Ok(())
     }
-
-    /// The next year the record expects (folding must stay ascending so
-    /// spells crossing year boundaries concatenate in calendar order).
-    fn next_year(&self, start_year: i32) -> i32 {
-        self.years.last().map_or(start_year, |y| y + 1)
-    }
-}
-
-/// Folds `years` (ascending) into the record from their daily files —
-/// the catch-up path for years whose `stream_record` task was restored
-/// from a checkpoint and therefore never executed in this process.
-fn fold_years_from_files(
-    st: &mut RecordState,
-    years: std::ops::Range<i32>,
-    params: &WorkflowParams,
-    client: &Client,
-) -> Result<(), String> {
-    for year in years {
-        let files: Vec<PathBuf> = (0..params.days_per_year)
-            .map(|d| params.esm_dir().join(esm::output::file_name(year, d)))
-            .collect();
-        let tmax = import_daily_extreme(&files, ReduceOp::Max, "tasmax", params, client)
-            .and_then(|h| h.cube())
-            .map_err(|e| e.to_string())?;
-        let tmin = import_daily_extreme(&files, ReduceOp::Min, "tasmin", params, client)
-            .and_then(|h| h.cube())
-            .map_err(|e| e.to_string())?;
-        st.fold(year, &tmax, &tmin).map_err(|e| e.to_string())?;
-    }
-    Ok(())
 }
 
 /// Handles to the shared (non-task) resources of the workflow — the same
@@ -270,12 +278,14 @@ pub struct CaseStudy {
     pub cnn: Arc<Mutex<TcCnn>>,
     sim: Arc<Mutex<Simulation>>,
     truth: Arc<Mutex<Vec<YearEvents>>>,
-    /// In-memory years handed over by the streaming plane.
-    store: Arc<YearStore>,
     /// Shared batched CNN inference service (streaming runs only).
     cnn_service: Option<Arc<CnnService>>,
     /// Record-to-date incremental index state (streaming runs only).
     record: Arc<Mutex<RecordState>>,
+    /// Every streamed year the driver took over the channel, so tests can
+    /// check that its blocks die with their last consumer task.
+    #[cfg(test)]
+    handed_over: Mutex<Vec<std::sync::Weak<StreamedYear>>>,
 }
 
 impl CaseStudy {
@@ -325,9 +335,10 @@ impl CaseStudy {
             cnn: Arc::new(Mutex::new(cnn)),
             sim: Arc::new(Mutex::new(sim)),
             truth: Arc::new(Mutex::new(Vec::new())),
-            store: Arc::new(YearStore::new()),
             cnn_service,
             record: Arc::new(Mutex::new(RecordState::empty())),
+            #[cfg(test)]
+            handed_over: Mutex::new(Vec::new()),
             rt,
             params,
         })
@@ -356,8 +367,8 @@ impl CaseStudy {
     /// year's state token (the ESM "runs iteratively"). With `stream`,
     /// the completed year is also handed to analytics in memory: the
     /// send blocks while the channel is full (backpressure on the
-    /// simulation), and a failed send is simply ignored — the daily
-    /// files are already on disk for the watcher fallback.
+    /// simulation), and a failed send is ignored — it only fails once
+    /// the driver has given up, and the daily files are on disk anyway.
     pub(crate) fn submit_esm_year(
         &self,
         year_index: usize,
@@ -393,12 +404,7 @@ impl CaseStudy {
                     .run_years_streamed(1, |year, blocks, files| {
                         let days = blocks.len();
                         let bytes: u64 = blocks.iter().map(DayBlock::payload_bytes).sum();
-                        let sy = Arc::new(StreamedYear {
-                            key: year.to_string(),
-                            year,
-                            files,
-                            days: blocks,
-                        });
+                        let sy = Arc::new(StreamedYear { year, files, days: blocks });
                         if tx.send(sy).is_ok() {
                             obs::emit_with(|| obs::EventKind::YearStreamed { year, days, bytes });
                         }
@@ -480,15 +486,14 @@ impl CaseStudy {
     }
 
     /// Submits the full per-year analysis chain (tasks #4–#18, plus #19
-    /// `stream_record` on the streaming plane) for one complete year.
-    /// Task bodies look the year up in the in-memory [`YearStore`] at
-    /// execution time and fall back to the daily files on a miss, so the
-    /// same graph serves streamed, staged and checkpoint-restored years.
-    #[allow(clippy::too_many_arguments)]
+    /// `stream_record` on the streaming plane) for one complete year. The
+    /// tasks that read the daily fields capture `source`, so the same
+    /// graph and the same bodies serve streamed, staged and
+    /// checkpoint-restored years.
     pub(crate) fn submit_year_analysis(
         &self,
         year_key: &str,
-        files: Vec<PathBuf>,
+        source: YearSource,
         baseline_tmax: &DataRef,
         baseline_tmin: &DataRef,
         model_token: &DataRef,
@@ -498,6 +503,7 @@ impl CaseStudy {
         let client = self.client.clone();
 
         // #4 stage_year — the streaming hand-off node.
+        let files = source.files().to_vec();
         let n_files = files.len();
         let stage = self
             .rt
@@ -507,29 +513,19 @@ impl CaseStudy {
             .writes(&[format!("year-{year_key}").as_str()])
             .run(move |_| Ok(vec![WfData::Paths(files.clone())]))?;
 
-        // #5/#6 import daily extreme cubes — straight from the in-memory
-        // day blocks when the year streamed in, else from its files.
+        // #5/#6 import daily extreme cubes from the year's source.
         let import = |task: &str, reduce: ReduceOp, measure: &'static str| {
             let client = client.clone();
             let params = params.clone();
-            let store = Arc::clone(&self.store);
-            let key = year_key.to_string();
+            let source = source.clone();
             self.rt
                 .task(task)
                 .reads(&[stage.outputs[0].clone()])
                 .on_failure(FailurePolicy::IgnoreCancelSuccessors)
                 .writes(&[format!("{task}-{year_key}").as_str()])
-                .run(move |inp: &[Arc<WfData>]| {
-                    let cube = match store.get(&key) {
-                        Some(sy) => {
-                            import_daily_extreme_mem(&sy.days, reduce, measure, &params, &client)
-                        }
-                        None => {
-                            let files = inp[0].paths().ok_or("expected file list")?;
-                            import_daily_extreme(files, reduce, measure, &params, &client)
-                        }
-                    }
-                    .map_err(|e| e.to_string())?;
+                .run(move |_| {
+                    let cube = import_daily_extreme(&source, reduce, measure, &params, &client)
+                        .map_err(|e| e.to_string())?;
                     Ok(vec![WfData::CubeRef(cube.id().0)])
                 })
         };
@@ -661,48 +657,38 @@ impl CaseStudy {
         // #15 TC preprocessing: bundle the four needed fields per timestep
         // into one analysis-ready file.
         let tc_input = {
-            let dir = self.params.products_dir();
-            let year_key_owned = year_key.to_string();
-            let store = Arc::clone(&self.store);
+            let out = self.params.products_dir().join(format!("tcinput-{year_key}.ncx"));
             self.rt
                 .task("tc_preprocess")
                 .on_failure(FailurePolicy::IgnoreCancelSuccessors)
                 .key(&format!("tcpre-{year_key}"))
                 .reads(&[stage.outputs[0].clone()])
                 .writes(&[format!("tcinput-{year_key}").as_str()])
-                .run(move |inp: &[Arc<WfData>]| {
-                    let out = dir.join(format!("tcinput-{year_key_owned}.ncx"));
-                    match store.get(&year_key_owned) {
-                        Some(sy) => {
-                            build_tc_input_mem(&sy.days, &out).map_err(|e| e.to_string())?
-                        }
-                        None => {
-                            let files = inp[0].paths().ok_or("expected file list")?;
-                            build_tc_input(files, &out).map_err(|e| e.to_string())?;
-                        }
-                    }
-                    Ok(vec![WfData::Path(out)])
+                .run(move |_| {
+                    build_tc_input(&source, &out).map_err(|e| e.to_string())?;
+                    Ok(vec![WfData::Path(out.clone())])
                 })?
         };
 
         // #16 CNN localization (+ geo-referencing) over every timestep,
         // run as a gang-scheduled data-parallel task (the PyCOMPSs `@mpi`
-        // integration): replica r processes timesteps r, r+size, ..., each
-        // with its own model instance; rank 0 assembles the year's CSV.
+        // integration): replica r processes timesteps r, r+size, ...;
+        // rank 0 assembles the year's CSV.
         let cnn_out = {
             let replicas = if self.params.workers >= 4 { 2u32 } else { 1 };
             let dir = self.params.products_dir();
             let year_key_owned = year_key.to_string();
             let patch = self.params.patch;
-            let model_file = self
-                .params
-                .model_path
-                .clone()
-                .unwrap_or_else(|| self.params.out_dir.join("tc_cnn.tml"));
-            let parts: Arc<Mutex<std::collections::BTreeMap<u32, String>>> =
-                Arc::new(Mutex::new(std::collections::BTreeMap::new()));
-            let service = self.cnn_service.clone();
-            let store = Arc::clone(&self.store);
+            let parts: Arc<Mutex<BTreeMap<u32, String>>> = Arc::new(Mutex::new(BTreeMap::new()));
+            let engine = match &self.cnn_service {
+                Some(svc) => CnnEngine::Service(Arc::clone(svc)),
+                None => CnnEngine::PerChunk(
+                    self.params
+                        .model_path
+                        .clone()
+                        .unwrap_or_else(|| self.params.out_dir.join("tc_cnn.tml")),
+                ),
+            };
             self.rt
                 .task("tc_cnn_localize")
                 .key(&format!("tccnn-{year_key}"))
@@ -711,32 +697,11 @@ impl CaseStudy {
                 .replicated(replicas)
                 .writes(&[format!("tc-cnn-{year_key}").as_str()])
                 .run_replicated(move |inp: &[Arc<WfData>], replica| {
-                    // Streamed years route every timestep through the
-                    // shared batched inference service; otherwise each
-                    // replica fans its share of timesteps out over the
-                    // shared pool with per-chunk model instances.
-                    let part = match (&service, store.get(&year_key_owned)) {
-                        (Some(svc), Some(sy)) => cnn_localize_steps_streamed(
-                            &sy.days,
-                            svc,
-                            patch,
-                            replica.rank,
-                            replica.size,
-                        )?,
-                        _ => {
-                            let path = match &*inp[0] {
-                                WfData::Path(p) => p.clone(),
-                                _ => return Err("expected tc input path".into()),
-                            };
-                            cnn_localize_steps(
-                                &path,
-                                patch,
-                                &model_file,
-                                replica.rank,
-                                replica.size,
-                            )?
-                        }
+                    let WfData::Path(path) = &*inp[0] else {
+                        return Err("expected tc input path".into());
                     };
+                    let part =
+                        cnn_localize_steps(path, patch, &engine, replica.rank, replica.size)?;
                     parts.lock().insert(replica.rank, part);
                     if replica.rank != 0 {
                         return Ok(vec![]);
@@ -781,11 +746,10 @@ impl CaseStudy {
                 .reads(&[tc_input.outputs[0].clone()])
                 .writes(&[format!("tc-tracks-{year_key}").as_str()])
                 .run(move |inp: &[Arc<WfData>]| {
-                    let path = match &*inp[0] {
-                        WfData::Path(p) => p.clone(),
-                        _ => return Err("expected tc input path".into()),
+                    let WfData::Path(path) = &*inp[0] else {
+                        return Err("expected tc input path".into());
                     };
-                    let csv = track_year(&path).map_err(|e| e.to_string())?;
+                    let csv = track_year(path).map_err(|e| e.to_string())?;
                     let out = dir.join(format!("tc-tracks-{year_key_owned}.csv"));
                     std::fs::write(&out, &csv).map_err(|e| e.to_string())?;
                     Ok(vec![WfData::Text(csv)])
@@ -846,10 +810,12 @@ impl CaseStudy {
             if let Some(p) = record_prev {
                 reads.push(p.clone());
             }
+            // No checkpoint key: the record state lives in this process, so
+            // a resumed run re-folds every year through its import tasks
+            // (which never restore either).
             let h = self
                 .rt
                 .task("stream_record")
-                .key(&format!("record-{year_key}"))
                 .on_failure(FailurePolicy::IgnoreCancelSuccessors)
                 .reads(&reads)
                 .writes(&[format!("record-{year_key}").as_str()])
@@ -868,13 +834,6 @@ impl CaseStudy {
                         year_key_owned.parse().map_err(|_| "bad year key".to_string())?;
                     let mut st = state.lock();
                     st.init_if_needed(&base_tmax, &base_tmin, params.nfrag, params.io_servers);
-                    // Checkpoint-restored years never ran their record
-                    // task in this process; fold them from their daily
-                    // files first so the record stays calendar-ordered.
-                    let next = st.next_year(params.esm_config().start_year);
-                    if next < year {
-                        fold_years_from_files(&mut st, next..year, &params, &client)?;
-                    }
                     if !st.years.contains(&year) {
                         st.fold(year, &tmax, &tmin).map_err(|e| e.to_string())?;
                     }
@@ -900,20 +859,30 @@ impl CaseStudy {
     }
 
     /// Runs the full pipelined workflow: simulation years chained, per-year
-    /// analysis submitted as years stream in, everything concurrent. With
+    /// analysis submitted as years complete, everything concurrent. With
     /// `params.streaming`, years hand over in memory through a bounded
     /// channel; otherwise analysis keys off the daily files.
     pub fn run(&self) -> Result<RunReport, WorkflowError> {
-        if self.params.streaming {
-            self.run_streaming()
-        } else {
-            self.run_staged()
-        }
+        self.drive(false)
     }
 
-    /// The file-keyed pipelined driver: per-year analysis starts when the
-    /// directory watcher sees a complete year of daily files.
-    fn run_staged(&self) -> Result<RunReport, WorkflowError> {
+    /// Runs the sequential baseline (experiment C1): the ESM completes all
+    /// years first, then the per-year analyses are submitted from the
+    /// daily files. Same tasks and products, no overlap with the
+    /// simulation; with `params.streaming` the record products are
+    /// exported as on a pipelined streaming run.
+    pub fn run_sequential(&self) -> Result<RunReport, WorkflowError> {
+        self.drive(true)
+    }
+
+    /// The one arrival loop behind [`CaseStudy::run`] and
+    /// [`CaseStudy::run_sequential`]. A year travels over the channel when
+    /// it was simulated in this process on a pipelined streaming run.
+    /// Every other year comes from its daily files: through the directory
+    /// watcher on staged and sequential runs, or straight away when its
+    /// `esm_simulation` task was restored from the checkpoint (it never
+    /// runs, so it never streams).
+    fn drive(&self, sequential: bool) -> Result<RunReport, WorkflowError> {
         let start = Instant::now();
         let baseline = self
             .submit_load_baseline()
@@ -922,127 +891,53 @@ impl CaseStudy {
             self.submit_load_model().map_err(WorkflowError::dataflow(WorkflowStage::ModelLoad))?;
 
         // Chain the simulation years (#1 runs iteratively).
-        let mut prev: Option<DataRef> = None;
-        for y in 0..self.params.years {
-            let h = self
-                .submit_esm_year(y, prev.as_ref(), None)
-                .map_err(WorkflowError::dataflow(WorkflowStage::Simulation))?;
-            prev = Some(h.outputs[0].clone());
-        }
-
-        // Master streaming loop: submit per-year analysis as years complete.
-        let esm_dir = self.params.esm_dir();
-        let mut watcher = DirWatcher::new(
-            esm_dir.clone(),
-            YearlyRule { prefix: "esm".into(), days_per_year: self.params.days_per_year },
-        );
-        let mut year_refs = Vec::new();
-        const WAIT_SECS: u64 = 3600;
-        let deadline = Instant::now() + Duration::from_secs(WAIT_SECS);
-        while year_refs.len() < self.params.years {
-            if Instant::now() > deadline {
-                return Err(WorkflowError::Timeout {
-                    stage: WorkflowStage::Streaming,
-                    waited_secs: WAIT_SECS,
-                });
-            }
-            // A fail-fast abort (e.g. an injected fault exhausting its
-            // retries) means the files this loop is waiting for will never
-            // land; surface the abort instead of spinning to the deadline.
-            if let Some(err) = self.rt.aborted() {
-                return Err(WorkflowError::Aborted { source: err });
-            }
-            for group in
-                watcher.poll().map_err(WorkflowError::io(WorkflowStage::Streaming, &esm_dir))?
-            {
-                let refs = self
-                    .submit_year_analysis(
-                        &group.key,
-                        group.files,
-                        &baseline.outputs[0],
-                        &baseline.outputs[1],
-                        &model.outputs[0],
-                        None,
-                    )
-                    .map_err(WorkflowError::dataflow(WorkflowStage::Analysis))?;
-                year_refs.push(refs);
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-
-        self.rt.barrier().map_err(WorkflowError::dataflow(WorkflowStage::Barrier))?;
-        self.collect_report(start.elapsed(), &year_refs)
-    }
-
-    /// The streaming driver: completed years arrive through a bounded
-    /// in-memory channel (the simulation blocks when analytics lags —
-    /// backpressure), with the directory watcher as the durable fallback
-    /// for years that never streamed (checkpoint restores, lost sends).
-    fn run_streaming(&self) -> Result<RunReport, WorkflowError> {
-        let start = Instant::now();
-        let baseline = self
-            .submit_load_baseline()
-            .map_err(WorkflowError::dataflow(WorkflowStage::Baseline))?;
-        let model =
-            self.submit_load_model().map_err(WorkflowError::dataflow(WorkflowStage::ModelLoad))?;
-
+        let via_channel = self.params.streaming && !sequential;
         let (tx, rx) = bounded::<Arc<StreamedYear>>("esm-years", self.params.stream_depth);
+        let start_year = self.params.esm_config().start_year;
+        let esm_dir = self.params.esm_dir();
+        let mut arrivals: Vec<(String, YearSource)> = Vec::new();
         let mut prev: Option<DataRef> = None;
         for y in 0..self.params.years {
+            // Submission replays a checkpointed task synchronously, so the
+            // restored count moves during this call iff the year is restored.
+            let restored = self.rt.metrics().restored;
             let h = self
-                .submit_esm_year(y, prev.as_ref(), Some(tx.clone()))
+                .submit_esm_year(y, prev.as_ref(), via_channel.then(|| tx.clone()))
                 .map_err(WorkflowError::dataflow(WorkflowStage::Simulation))?;
+            if via_channel && self.rt.metrics().restored > restored {
+                let year = start_year + y as i32;
+                let files = (0..self.params.days_per_year)
+                    .map(|d| esm_dir.join(esm::output::file_name(year, d)))
+                    .collect();
+                arrivals.push((year.to_string(), YearSource::Files(files)));
+            }
             prev = Some(h.outputs[0].clone());
         }
         drop(tx);
+        if sequential {
+            self.rt.barrier().map_err(WorkflowError::dataflow(WorkflowStage::Barrier))?;
+        }
 
-        let esm_dir = self.params.esm_dir();
-        let mut watcher = DirWatcher::new(
-            esm_dir.clone(),
-            YearlyRule { prefix: "esm".into(), days_per_year: self.params.days_per_year },
-        );
-        let mut year_refs: Vec<YearTaskRefs> = Vec::new();
-        let mut submitted: BTreeSet<String> = BTreeSet::new();
+        let mut watcher = (!via_channel).then(|| {
+            DirWatcher::new(
+                esm_dir.clone(),
+                YearlyRule { prefix: "esm".into(), days_per_year: self.params.days_per_year },
+            )
+        });
+        let mut year_refs = Vec::new();
         let mut record_prev: Option<DataRef> = None;
-        let (mut streamed, mut fallback) = (0usize, 0usize);
+        let mut streamed = 0;
         const WAIT_SECS: u64 = 3600;
         let deadline = Instant::now() + Duration::from_secs(WAIT_SECS);
-        while year_refs.len() < self.params.years {
-            if Instant::now() > deadline {
-                return Err(WorkflowError::Timeout {
-                    stage: WorkflowStage::Streaming,
-                    waited_secs: WAIT_SECS,
-                });
-            }
-            if let Some(err) = self.rt.aborted() {
-                return Err(WorkflowError::Aborted { source: err });
-            }
-            // In-memory arrivals first; the recv doubles as the loop's
-            // pacing, so no sleep is needed.
-            let mut pending: BTreeMap<String, (Vec<PathBuf>, bool)> = BTreeMap::new();
-            match rx.recv_timeout(Duration::from_millis(20)) {
-                RecvTimeout::Item(sy) => {
-                    self.store.insert(Arc::clone(&sy));
-                    pending.insert(sy.key.clone(), (sy.files.clone(), true));
-                }
-                RecvTimeout::TimedOut | RecvTimeout::Disconnected => {}
-            }
-            for group in
-                watcher.poll().map_err(WorkflowError::io(WorkflowStage::Streaming, &esm_dir))?
-            {
-                pending.entry(group.key).or_insert((group.files, false));
-            }
-            // BTreeMap order keeps record-task chaining calendar-ascending
-            // even when a restored year surfaces via its files while a
-            // later year streams in.
-            for (key, (files, via_stream)) in pending {
-                if !submitted.insert(key.clone()) {
-                    continue;
-                }
+        loop {
+            // Years arrive calendar-ascending, which keeps the record-task
+            // chain in calendar order.
+            for (key, source) in arrivals.drain(..) {
+                streamed += matches!(source, YearSource::Blocks(_)) as usize;
                 let refs = self
                     .submit_year_analysis(
                         &key,
-                        files,
+                        source,
                         &baseline.outputs[0],
                         &baseline.outputs[1],
                         &model.outputs[0],
@@ -1050,22 +945,54 @@ impl CaseStudy {
                     )
                     .map_err(WorkflowError::dataflow(WorkflowStage::Analysis))?;
                 record_prev = refs.record.clone();
-                if via_stream {
-                    streamed += 1;
-                } else {
-                    fallback += 1;
-                }
                 year_refs.push(refs);
+            }
+            if year_refs.len() >= self.params.years {
+                break;
+            }
+            if Instant::now() > deadline {
+                return Err(WorkflowError::Timeout {
+                    stage: WorkflowStage::Streaming,
+                    waited_secs: WAIT_SECS,
+                });
+            }
+            // A fail-fast abort (e.g. an injected fault exhausting its
+            // retries) means the year this loop is waiting for will never
+            // arrive; surface the abort instead of spinning to the deadline.
+            if let Some(err) = self.rt.aborted() {
+                return Err(WorkflowError::Aborted { source: err });
+            }
+            match &mut watcher {
+                Some(w) => {
+                    let groups =
+                        w.poll().map_err(WorkflowError::io(WorkflowStage::Streaming, &esm_dir))?;
+                    arrivals
+                        .extend(groups.into_iter().map(|g| (g.key, YearSource::Files(g.files))));
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                // The receive doubles as the loop's pacing.
+                None => match rx.recv_timeout(Duration::from_millis(20)) {
+                    RecvTimeout::Item(sy) => {
+                        #[cfg(test)]
+                        self.handed_over.lock().push(Arc::downgrade(&sy));
+                        arrivals.push((sy.year.to_string(), YearSource::Blocks(sy)));
+                    }
+                    RecvTimeout::Disconnected => std::thread::sleep(Duration::from_millis(5)),
+                    RecvTimeout::TimedOut => {}
+                },
             }
         }
 
         self.rt.barrier().map_err(WorkflowError::dataflow(WorkflowStage::Barrier))?;
+        if !self.params.streaming {
+            return self.collect_report(start.elapsed(), &year_refs);
+        }
         let record_paths = self.export_record_products(&baseline)?;
         let mut report = self.collect_report(start.elapsed(), &year_refs)?;
         let stats = self.cnn_service.as_ref().map(|s| s.stats()).unwrap_or_default();
         report.stream = Some(StreamSummary {
             years_streamed: streamed,
-            fallback_years: fallback,
+            fallback_years: year_refs.len() - streamed,
             stall_us: rx.stall_micros(),
             record_years: self.record.lock().years.len(),
             cnn_batches: stats.batches,
@@ -1078,9 +1005,8 @@ impl CaseStudy {
 
     /// Exports the record-to-date (cross-year) index products accumulated
     /// by the `stream_record` chain: the six heat/cold maps as NCX plus
-    /// one NCX of the ETCCDI counters. A resume run whose record tasks
-    /// were all restored from the checkpoint folds the missing years from
-    /// their daily files first.
+    /// one NCX of the ETCCDI counters. A year whose analysis failed is
+    /// missing from the record, as `StreamSummary::record_years` shows.
     fn export_record_products(&self, baseline: &TaskHandle) -> Result<Vec<PathBuf>, WorkflowError> {
         let malformed =
             |message: String| WorkflowError::Malformed { stage: WorkflowStage::Report, message };
@@ -1095,13 +1021,6 @@ impl CaseStudy {
         let base_tmin = fetch_cube(&baseline.outputs[1])?;
         let mut st = self.record.lock();
         st.init_if_needed(&base_tmax, &base_tmin, self.params.nfrag, self.params.io_servers);
-        let start_year = self.params.esm_config().start_year;
-        let end_year = start_year + self.params.years as i32;
-        let next = st.next_year(start_year);
-        if next < end_year {
-            fold_years_from_files(&mut st, next..end_year, &self.params, &self.client)
-                .map_err(malformed)?;
-        }
 
         let dir = self.params.products_dir();
         let heat = st
@@ -1406,57 +1325,45 @@ fn fields_to_year_cube(
     Cube::from_shared(measure, dims, data, params.nfrag, params.io_servers)
 }
 
-/// Task #5/#6 body: build the daily-extreme year cube from the daily files
-/// using datacube operators (import → reduce over sub-daily steps → stack).
+/// Task #5/#6 body: the daily-extreme year cube `(lat, lon | day)`, folded
+/// straight from the year's source one day of `tas` at a time. The fold
+/// is [`ReduceOp`]'s own (same begin value, same `max`/`min` chain over
+/// the sub-daily steps), so the cube is bitwise what the datacube route
+/// `import_transposed → reduce → add_singleton_implicit → concat_implicit`
+/// builds from the same files.
 fn import_daily_extreme(
-    files: &[PathBuf],
-    op: ReduceOp,
-    measure: &str,
-    params: &WorkflowParams,
-    client: &Client,
-) -> datacube::Result<CubeHandle> {
-    let cfg = datacube::ExecConfig::with_servers(params.io_servers);
-    let mut day_cubes = Vec::with_capacity(files.len());
-    for (d, f) in files.iter().enumerate() {
-        let rd = Reader::open(f)?;
-        let cube =
-            datacube::ops::import_transposed(&rd, "tas", "time", "lat", "lon", params.nfrag, cfg)?;
-        let daily = datacube::ops::reduce(&cube, op, "time", cfg)?;
-        day_cubes.push(datacube::ops::add_singleton_implicit(&daily, "day", d as f64)?);
-    }
-    let refs: Vec<&datacube::model::Cube> = day_cubes.iter().collect();
-    let mut year = datacube::ops::concat_implicit(&refs, "day")?;
-    year.measure = measure.to_string();
-    Ok(client.adopt(year))
-}
-
-/// Task #5/#6 body on the streaming hot path: the same daily-extreme year
-/// cube as [`import_daily_extreme`], built straight from the in-memory
-/// [`DayBlock`]s — no reader, no intermediate per-day cubes. The reduction
-/// mirrors [`ReduceOp`]'s fold (same begin value, same `max`/`min` chain)
-/// so the result is bitwise-identical to the file route.
-fn import_daily_extreme_mem(
-    days: &[DayBlock],
+    source: &YearSource,
     op: ReduceOp,
     measure: &str,
     params: &WorkflowParams,
     client: &Client,
 ) -> datacube::Result<CubeHandle> {
     use datacube::model::{Cube, Dimension, SharedData};
-    let first = days.first().ok_or_else(|| datacube::Error::SchemaMismatch("empty year".into()))?;
-    let grid = &first.grid;
-    let n = grid.nlat * grid.nlon;
-    let spd = first.steps_per_day;
-    let nday = days.len();
-    let pick_max = matches!(op, ReduceOp::Max);
-    for block in days {
-        if block.var("tas").is_none() {
-            return Err(datacube::Error::SchemaMismatch("day block missing tas".into()));
-        }
-    }
+    let pick_max = match op {
+        ReduceOp::Max => true,
+        ReduceOp::Min => false,
+        other => return Err(datacube::Error::Expr(format!("no daily-extreme fold for {other:?}"))),
+    };
+    let (lats, lons, spd) = source.layout()?;
+    let n = lats.len() * lons.len();
+    let nday = source.days();
+    let mut failed = None;
     let data = SharedData::from_fn(n * nday, |data| {
-        for (d, block) in days.iter().enumerate() {
-            let stack = block.var("tas").expect("checked above");
+        for d in 0..nday {
+            let stack = match source.stack(d, "tas") {
+                Ok(stack) if stack.len() == spd * n => stack,
+                Ok(stack) => {
+                    failed = Some(ncformat::Error::ShapeMismatch {
+                        expected: spd * n,
+                        actual: stack.len(),
+                    });
+                    return;
+                }
+                Err(e) => {
+                    failed = Some(e);
+                    return;
+                }
+            };
             for idx in 0..n {
                 let mut acc = if pick_max { f32::NEG_INFINITY } else { f32::INFINITY };
                 for t in 0..spd {
@@ -1467,190 +1374,156 @@ fn import_daily_extreme_mem(
             }
         }
     });
+    if let Some(e) = failed {
+        return Err(e.into());
+    }
     let dims = vec![
-        Dimension::explicit("lat", grid.lats()),
-        Dimension::explicit("lon", grid.lons()),
+        Dimension::explicit("lat", lats),
+        Dimension::explicit("lon", lons),
         Dimension::implicit("day", (0..nday).map(|d| d as f64).collect::<Vec<_>>()),
     ];
     Cube::from_shared(measure, dims, data, params.nfrag, params.io_servers).map(|c| client.adopt(c))
 }
 
-/// Task #15 body: bundle `(psl, sfcWind, tas, vort)` for every timestep of
-/// the year into one analysis-ready NCX file with a `step` axis.
-fn build_tc_input(files: &[PathBuf], out: &Path) -> ncformat::Result<()> {
-    let first = Reader::open(&files[0])?;
-    let nlat = first.dimension("lat")?.size;
-    let nlon = first.dimension("lon")?.size;
-    let spd = first.dimension("time")?.size;
-    let steps = files.len() * spd;
+/// The four fields the TC analysis reads at every timestep.
+const TC_VARS: [&str; 4] = ["psl", "sfcWind", "tas", "vort"];
 
+/// Task #15 body: bundle `(psl, sfcWind, tas, vort)` for every timestep of
+/// the year into one analysis-ready NCX file with a `step` axis, streamed
+/// one day's stack at a time.
+fn build_tc_input(source: &YearSource, out: &Path) -> ncformat::Result<()> {
+    let (lats, lons, spd) = source.layout()?;
     let mut w = ncformat::Writer::create(out)?;
-    w.add_dimension("step", steps)?;
-    w.add_dimension("lat", nlat)?;
-    w.add_dimension("lon", nlon)?;
-    w.add_variable_f64("lat", &["lat"], &first.read_all_f64("lat")?, vec![])?;
-    w.add_variable_f64("lon", &["lon"], &first.read_all_f64("lon")?, vec![])?;
-    for var in ["psl", "sfcWind", "tas", "vort"] {
-        let mut stack = Vec::with_capacity(steps * nlat * nlon);
-        for f in files {
-            let rd = Reader::open(f)?;
-            stack.extend(rd.read_all_f32(var)?);
+    w.add_dimension("step", source.days() * spd)?;
+    w.add_dimension("lat", lats.len())?;
+    w.add_dimension("lon", lons.len())?;
+    w.add_variable_f64("lat", &["lat"], &lats, vec![])?;
+    w.add_variable_f64("lon", &["lon"], &lons, vec![])?;
+    for var in TC_VARS {
+        w.begin_variable_f32(var, &["step", "lat", "lon"], vec![])?;
+        for d in 0..source.days() {
+            w.write_chunk_f32(&source.stack(d, var)?)?;
         }
-        w.add_variable_f32(var, &["step", "lat", "lon"], &stack, vec![])?;
+        w.end_variable()?;
     }
     w.set_attribute("steps_per_day", ncformat::Value::from(spd as i64));
     w.finish()
 }
 
-/// Task #15 body on the streaming hot path: the same analysis-ready NCX
-/// file as [`build_tc_input`], assembled from the in-memory [`DayBlock`]s.
-/// Coordinates come from the grid (the daily files wrote the same values)
-/// and variable stacks concatenate in day order, so the output file is
-/// byte-identical to the file route.
-fn build_tc_input_mem(days: &[DayBlock], out: &Path) -> ncformat::Result<()> {
-    let first =
-        days.first().ok_or_else(|| std::io::Error::other("empty year in streaming handoff"))?;
-    let grid = &first.grid;
-    let spd = first.steps_per_day;
-    let steps = days.len() * spd;
+/// A year's TC input file (`tcinput-{y}.ncx`, written by
+/// [`build_tc_input`]), read one timestep plane at a time. Both CNN engines
+/// and the deterministic tracker read through it.
+struct TcInput {
+    rd: Reader,
+    grid: gridded::Grid,
+    steps: usize,
+    steps_per_day: usize,
+}
 
-    let mut w = ncformat::Writer::create(out)?;
-    w.add_dimension("step", steps)?;
-    w.add_dimension("lat", grid.nlat)?;
-    w.add_dimension("lon", grid.nlon)?;
-    w.add_variable_f64("lat", &["lat"], &grid.lats(), vec![])?;
-    w.add_variable_f64("lon", &["lon"], &grid.lons(), vec![])?;
-    for var in ["psl", "sfcWind", "tas", "vort"] {
-        let mut stack = Vec::with_capacity(steps * grid.nlat * grid.nlon);
-        for block in days {
-            let part = block
-                .var(var)
-                .ok_or_else(|| std::io::Error::other(format!("missing {var} in day block")))?;
-            stack.extend_from_slice(part);
+impl TcInput {
+    fn open(path: &Path) -> ncformat::Result<Self> {
+        let rd = Reader::open(path)?;
+        let grid = gridded::Grid::global(rd.dimension("lat")?.size, rd.dimension("lon")?.size);
+        let steps = rd.dimension("step")?.size;
+        let spd = rd.attribute("steps_per_day").and_then(|v| v.as_f64()).unwrap_or(4.0) as usize;
+        for var in TC_VARS {
+            let shape = rd.shape(var)?;
+            if shape != [steps, grid.nlat, grid.nlon] {
+                return Err(ncformat::Error::Corrupt(format!("{var} has shape {shape:?}")));
+            }
         }
-        w.add_variable_f32(var, &["step", "lat", "lon"], &stack, vec![])?;
+        Ok(TcInput { rd, grid, steps, steps_per_day: spd })
     }
-    w.set_attribute("steps_per_day", ncformat::Value::from(spd as i64));
-    w.finish()
+
+    /// The four fields of global timestep `s`, each plane read in one
+    /// contiguous run (the shapes were checked at open).
+    fn fields(&self, s: usize) -> ncformat::Result<FieldSet> {
+        let read = |var: &str| -> ncformat::Result<Field2> {
+            let mut data = vec![0.0; self.grid.len()];
+            self.rd.read_f32_into(var, s * data.len(), &mut data)?;
+            Ok(Field2::from_vec(self.grid.clone(), data))
+        };
+        Ok(FieldSet {
+            psl: read("psl")?,
+            wind: read("sfcWind")?,
+            tas: read("tas")?,
+            vort: read("vort")?,
+        })
+    }
+}
+
+/// Which engine localizes cyclones in a replica's timesteps. The engines
+/// give identical rows; they stay split because the shared service holds
+/// every queued request's fields, which costs the staged run more peak
+/// memory than per-chunk models.
+enum CnnEngine {
+    /// The shared batched inference service (streaming runs).
+    Service(Arc<CnnService>),
+    /// One model instance per pool chunk, loaded from this file (staged
+    /// runs; inference mutates layer caches).
+    PerChunk(PathBuf),
 }
 
 /// Task #16 body (one replica's share): CNN localization over timesteps
-/// `rank, rank+size, ...`; returns header-less CSV rows
-/// `day,step,lat,lon,confidence`.
+/// `rank, rank+size, ...` of the TC input; returns header-less CSV rows
+/// `day,step,lat,lon,confidence`, step-ascending.
 ///
-/// Inside the replica, its timesteps are split into at most
-/// pool-width contiguous chunks that run concurrently on the shared
-/// [`par`] pool; every chunk task opens its own reader and loads its
-/// own model instance (inference mutates layer caches), and chunk
-/// outputs concatenate in chunk order so rows stay step-ascending.
+/// The service path submits every request up front (so the service can
+/// batch them) and awaits them in step order. The per-chunk path splits
+/// the timesteps into at most pool-width contiguous chunks that run
+/// concurrently on the shared [`par`] pool and concatenate in chunk order.
 fn cnn_localize_steps(
     input: &Path,
     patch: usize,
-    model_file: &Path,
+    engine: &CnnEngine,
     rank: u32,
     size: u32,
 ) -> Result<String, String> {
-    let rd = Reader::open(input).map_err(|e| e.to_string())?;
-    let dim = |name: &str| rd.dimension(name).map(|d| d.size).map_err(|e| e.to_string());
-    let (nlat, nlon) = (dim("lat")?, dim("lon")?);
-    let steps = dim("step")?;
-    let spd = rd.attribute("steps_per_day").and_then(|v| v.as_f64()).unwrap_or(4.0) as usize;
-    drop(rd);
-    let grid = gridded::Grid::global(nlat, nlon);
-    let my_steps: Vec<usize> = (rank as usize..steps).step_by((size as usize).max(1)).collect();
-    if my_steps.is_empty() {
-        return Ok(String::new());
-    }
-    let width = par::global().threads().min(my_steps.len());
-    let chunks: Vec<&[usize]> = my_steps.chunks(my_steps.len().div_ceil(width)).collect();
-    let parts: Vec<Result<String, String>> = par::par_map(&chunks, |chunk| {
-        let rd = Reader::open(input).map_err(|e| e.to_string())?;
-        let mut model = TcCnn::load(patch, model_file).map_err(|e| e.to_string())?;
-        let analysis =
-            extremes::tc::cnn::analysis_grid(esm::atmos::tc_radius_deg(&grid), model.patch);
-        let mut csv = String::new();
-        for &s in chunk.iter() {
-            let read = |var: &str| -> Result<Field2, String> {
-                let data = rd
-                    .read_slab_f32(var, &[s, 0, 0], &[1, nlat, nlon])
-                    .map_err(|e| e.to_string())?;
-                Ok(Field2::from_vec(grid.clone(), data))
-            };
-            let native = extremes::tc::cnn::FieldSet {
-                psl: read("psl")?,
-                wind: read("sfcWind")?,
-                tas: read("tas")?,
-                vort: read("vort")?,
-            };
-            let set = native.regrid(&analysis);
-            for det in model.localize_set(&set) {
-                csv.push_str(&format!(
-                    "{},{},{:.3},{:.3},{:.3}\n",
-                    s / spd,
-                    s % spd,
-                    det.lat,
-                    det.lon,
-                    det.confidence
-                ));
-            }
-        }
-        Ok(csv)
-    });
+    let tc = TcInput::open(input).map_err(|e| e.to_string())?;
+    let analysis = extremes::tc::cnn::analysis_grid(esm::atmos::tc_radius_deg(&tc.grid), patch);
+    let my_steps: Vec<usize> = (rank as usize..tc.steps).step_by((size as usize).max(1)).collect();
     let mut csv = String::new();
-    for p in parts {
-        csv.push_str(&p?);
-    }
-    Ok(csv)
-}
-
-/// Task #16 body on the streaming hot path: the replica's timesteps go to
-/// the shared [`CnnService`] instead of per-chunk model instances. All
-/// requests are submitted up front (so the service can batch them), then
-/// awaited in step order — rows stay step-ascending and byte-identical to
-/// [`cnn_localize_steps`] because localization of one step is independent
-/// of the batch it rode in.
-fn cnn_localize_steps_streamed(
-    days: &[DayBlock],
-    service: &CnnService,
-    patch: usize,
-    rank: u32,
-    size: u32,
-) -> Result<String, String> {
-    let Some(first) = days.first() else {
-        return Ok(String::new());
-    };
-    let grid = first.grid.clone();
-    let n = grid.nlat * grid.nlon;
-    let spd = first.steps_per_day;
-    let steps = days.len() * spd;
-    let analysis = extremes::tc::cnn::analysis_grid(esm::atmos::tc_radius_deg(&grid), patch);
-    let plane = |var: &str, s: usize| -> Result<Field2, String> {
-        let block = &days[s / spd];
-        let t = s % spd;
-        let stack = block.var(var).ok_or_else(|| format!("missing {var} in day block"))?;
-        Ok(Field2::from_vec(grid.clone(), stack[t * n..(t + 1) * n].to_vec()))
-    };
-    let mut tickets = Vec::new();
-    for s in (rank as usize..steps).step_by((size as usize).max(1)) {
-        let native = extremes::tc::cnn::FieldSet {
-            psl: plane("psl", s)?,
-            wind: plane("sfcWind", s)?,
-            tas: plane("tas", s)?,
-            vort: plane("vort", s)?,
-        };
-        tickets.push((s, service.submit(native, analysis.clone())));
-    }
-    let mut csv = String::new();
-    for (s, ticket) in tickets {
-        for det in ticket.wait()? {
+    let push_rows = |csv: &mut String, s: usize, dets: &[CnnDetection]| {
+        for det in dets {
             csv.push_str(&format!(
                 "{},{},{:.3},{:.3},{:.3}\n",
-                s / spd,
-                s % spd,
+                s / tc.steps_per_day,
+                s % tc.steps_per_day,
                 det.lat,
                 det.lon,
                 det.confidence
             ));
+        }
+    };
+    match engine {
+        CnnEngine::Service(svc) => {
+            let mut tickets = Vec::with_capacity(my_steps.len());
+            for &s in &my_steps {
+                let set = tc.fields(s).map_err(|e| e.to_string())?;
+                tickets.push((s, svc.submit(set, analysis.clone())));
+            }
+            for (s, ticket) in tickets {
+                push_rows(&mut csv, s, &ticket.wait()?);
+            }
+        }
+        CnnEngine::PerChunk(model_file) => {
+            if my_steps.is_empty() {
+                return Ok(csv);
+            }
+            let width = par::global().threads().min(my_steps.len());
+            let chunks: Vec<&[usize]> = my_steps.chunks(my_steps.len().div_ceil(width)).collect();
+            let parts: Vec<Result<String, String>> = par::par_map(&chunks, |chunk| {
+                let mut model = TcCnn::load(patch, model_file).map_err(|e| e.to_string())?;
+                let mut part = String::new();
+                for &s in chunk.iter() {
+                    let set = tc.fields(s).map_err(|e| e.to_string())?.regrid(&analysis);
+                    push_rows(&mut part, s, &model.localize_set(&set));
+                }
+                Ok(part)
+            });
+            for p in parts {
+                csv.push_str(&p?);
+            }
         }
     }
     Ok(csv)
@@ -1659,25 +1532,15 @@ fn cnn_localize_steps_streamed(
 /// Task #17 body: deterministic detection per timestep + trajectory
 /// stitching; CSV output `track,day,step,lat,lon,psl_pa,wind_ms`.
 fn track_year(input: &Path) -> ncformat::Result<String> {
-    let rd = Reader::open(input)?;
-    let (nlat, nlon) = (rd.dimension("lat")?.size, rd.dimension("lon")?.size);
-    let steps = rd.dimension("step")?.size;
-    let spd = rd.attribute("steps_per_day").and_then(|v| v.as_f64()).unwrap_or(4.0) as usize;
-    let grid = gridded::Grid::global(nlat, nlon);
+    let tc = TcInput::open(input)?;
     let params = DetectorParams::default();
-    let mut per_step = Vec::with_capacity(steps);
-    for s in 0..steps {
-        let read = |var: &str| -> ncformat::Result<Field2> {
-            let data = rd.read_slab_f32(var, &[s, 0, 0], &[1, nlat, nlon])?;
-            Ok(Field2::from_vec(grid.clone(), data))
-        };
-        let psl = read("psl")?;
-        let wind = read("sfcWind")?;
-        let tas = read("tas")?;
-        let vort = read("vort")?;
-        per_step.push(detect_timestep(&psl, &wind, &tas, &vort, &params));
+    let mut per_step = Vec::with_capacity(tc.steps);
+    for s in 0..tc.steps {
+        let f = tc.fields(s)?;
+        per_step.push(detect_timestep(&f.psl, &f.wind, &f.tas, &f.vort, &params));
     }
     let tracks = stitch_tracks(&per_step, &TrackParams::default());
+    let spd = tc.steps_per_day;
     let mut csv = String::from("track,day,step,lat,lon,psl_pa,wind_ms\n");
     for (ti, tr) in tracks.iter().enumerate() {
         for (s, d) in &tr.points {
@@ -1741,6 +1604,7 @@ fn parse_centers_tracks(csv: &str) -> Vec<(usize, f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datacube::model::Cube;
 
     #[test]
     fn wfdata_roundtrips() {
@@ -1780,6 +1644,137 @@ mod tests {
 
         assert!(parse_centers_cnn("header only\n").is_empty());
         assert!(parse_centers_tracks("h\ngarbage,line\n").is_empty());
+    }
+
+    fn tmp(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join("casestudy-tests").join(name);
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A few simulated days written as daily files through `esm::output`,
+    /// as both year sources: the files and the in-memory blocks.
+    fn simulated_days(dir: &Path, days: usize) -> (WorkflowParams, YearSource, YearSource) {
+        let params = WorkflowParams::test_scale(dir.to_path_buf());
+        let mut model = esm::CoupledModel::new(params.esm_config().with_days_per_year(days));
+        let (mut files, mut blocks) = (Vec::new(), Vec::new());
+        for _ in 0..days {
+            let fields = model.step_day();
+            files.push(esm::output::write_daily(dir, &fields).unwrap());
+            blocks.push(DayBlock::from_fields(&fields));
+        }
+        let year = blocks[0].year;
+        let streamed = StreamedYear { year, files: files.clone(), days: blocks };
+        (params, YearSource::Files(files), YearSource::Blocks(Arc::new(streamed)))
+    }
+
+    /// The datacube-operator import the workflow used before the single
+    /// fold, kept as its oracle: per day import, reduce over the sub-daily
+    /// steps, add the day axis; then stack the days.
+    fn datacube_route(files: &[PathBuf], op: ReduceOp, params: &WorkflowParams) -> Cube {
+        let cfg = datacube::ExecConfig::with_servers(params.io_servers);
+        let days: Vec<Cube> = files
+            .iter()
+            .enumerate()
+            .map(|(d, f)| {
+                let rd = Reader::open(f).unwrap();
+                let cube = datacube::ops::import_transposed(
+                    &rd,
+                    "tas",
+                    "time",
+                    "lat",
+                    "lon",
+                    params.nfrag,
+                    cfg,
+                )
+                .unwrap();
+                let daily = datacube::ops::reduce(&cube, op, "time", cfg).unwrap();
+                datacube::ops::add_singleton_implicit(&daily, "day", d as f64).unwrap()
+            })
+            .collect();
+        datacube::ops::concat_implicit(&days.iter().collect::<Vec<_>>(), "day").unwrap()
+    }
+
+    #[test]
+    fn import_fold_matches_datacube_route_bitwise() {
+        let dir = tmp("import-oracle");
+        let (params, files, blocks) = simulated_days(&dir, 3);
+        let client = Client::connect(params.io_servers);
+        for (op, measure) in [(ReduceOp::Max, "tasmax"), (ReduceOp::Min, "tasmin")] {
+            let mut oracle = datacube_route(files.files(), op, &params);
+            oracle.measure = measure.to_string();
+            let bits = |c: &Cube| c.to_dense().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for (name, source) in [("files", &files), ("blocks", &blocks)] {
+                let fold = import_daily_extreme(source, op, measure, &params, &client).unwrap();
+                let cube = fold.cube().unwrap();
+                assert_eq!(bits(&cube), bits(&oracle), "{measure} fold from {name}");
+                assert_eq!(cube.frags.len(), oracle.frags.len(), "{measure} fragments");
+                // Whole export, coordinates included; only the provenance
+                // text names the operator that built each cube.
+                oracle.description.clone_from(&cube.description);
+                let (got, want) =
+                    (dir.join(format!("{name}-{measure}.ncx")), dir.join("oracle.ncx"));
+                fold.exportnc(&got).unwrap();
+                datacube::ops::exportnc(&oracle, &want).unwrap();
+                assert_eq!(
+                    std::fs::read(&got).unwrap(),
+                    std::fs::read(&want).unwrap(),
+                    "{measure} export from {name}"
+                );
+            }
+        }
+        let err = import_daily_extreme(&files, ReduceOp::Avg, "x", &params, &client);
+        assert!(err.is_err(), "only max/min have a daily-extreme fold");
+    }
+
+    #[test]
+    fn tc_input_is_byte_identical_from_either_source() {
+        let dir = tmp("tc-input");
+        let (_, files, blocks) = simulated_days(&dir, 2);
+        let (a, b) = (dir.join("from-files.ncx"), dir.join("from-blocks.ncx"));
+        build_tc_input(&files, &a).unwrap();
+        build_tc_input(&blocks, &b).unwrap();
+        assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+        let tc = TcInput::open(&a).unwrap();
+        assert_eq!((tc.steps, tc.steps_per_day), (8, 4));
+        let YearSource::Blocks(sy) = &blocks else { unreachable!() };
+        let plane = tc.grid.len();
+        let day1_step2 = &sy.days[1].var("vort").unwrap()[2 * plane..3 * plane];
+        assert_eq!(tc.fields(6).unwrap().vort.data, day1_step2);
+        assert!(tc.fields(8).is_err(), "step past the end");
+
+        // A bundle whose field is not a (step, lat, lon) stack is refused.
+        let bad = dir.join("bad.ncx");
+        let mut w = ncformat::Writer::create(&bad).unwrap();
+        for (dim, n) in [("step", 2), ("lat", 2), ("lon", 2)] {
+            w.add_dimension(dim, n).unwrap();
+        }
+        w.add_variable_f32("psl", &["lat", "lon"], &[0.0; 4], vec![]).unwrap();
+        w.finish().unwrap();
+        assert!(TcInput::open(&bad).is_err());
+    }
+
+    /// Every streamed year's blocks are freed once the last task that
+    /// captured them finished: the runtime drops a task's closure when it
+    /// completes, and no other owner keeps the year alive.
+    #[test]
+    fn streamed_blocks_die_with_their_last_consumer() {
+        let mut params = WorkflowParams::test_scale(tmp("block-lifetime"));
+        params.years = 2;
+        params.days_per_year = 6;
+        params.train_samples = 80;
+        params.train_epochs = 2;
+        params.streaming = true;
+        let cs = CaseStudy::new(params).unwrap();
+        let report = cs.run().unwrap();
+        let handed = std::mem::take(&mut *cs.handed_over.lock());
+        cs.rt.shutdown();
+        assert_eq!(report.stream.as_ref().map(|s| s.years_streamed), Some(2));
+        assert_eq!(handed.len(), 2, "both years travel over the channel");
+        for (y, year) in handed.iter().enumerate() {
+            assert!(year.upgrade().is_none(), "streamed year {y} outlived its consumers");
+        }
     }
 
     #[test]

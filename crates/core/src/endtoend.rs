@@ -14,12 +14,11 @@
 //! touching any of the infrastructure (Section 6).
 
 use crate::casestudy::CaseStudy;
-use crate::error::{WorkflowError, WorkflowStage};
+use crate::error::WorkflowError;
 use crate::params::WorkflowParams;
 use crate::reporting::RunReport;
 use hpcwaas::tosca::climate_case_study;
 use hpcwaas::ExecutionApi;
-use std::time::Instant;
 
 /// Runs the pipelined (paper) configuration.
 pub fn run_pipelined(params: WorkflowParams) -> Result<RunReport, WorkflowError> {
@@ -37,56 +36,6 @@ pub fn run_sequential(params: WorkflowParams) -> Result<RunReport, WorkflowError
     let report = cs.run_sequential();
     cs.rt.shutdown();
     report
-}
-
-impl CaseStudy {
-    /// Sequential driver used by [`run_sequential`] and bench C1.
-    pub fn run_sequential(&self) -> Result<RunReport, WorkflowError> {
-        use dataflow::stream::{DirWatcher, YearlyRule};
-        let start = Instant::now();
-        let baseline = self
-            .submit_load_baseline()
-            .map_err(WorkflowError::dataflow(WorkflowStage::Baseline))?;
-        let model =
-            self.submit_load_model().map_err(WorkflowError::dataflow(WorkflowStage::ModelLoad))?;
-
-        // Phase 1: the whole simulation, to completion.
-        let mut prev = None;
-        for y in 0..self.params.years {
-            let h = self
-                .submit_esm_year(y, prev.as_ref(), None)
-                .map_err(WorkflowError::dataflow(WorkflowStage::Simulation))?;
-            prev = Some(h.outputs[0].clone());
-        }
-        self.rt.barrier().map_err(WorkflowError::dataflow(WorkflowStage::Barrier))?;
-
-        // Phase 2: all analyses (the "second stage").
-        let esm_dir = self.params.esm_dir();
-        let mut watcher = DirWatcher::new(
-            esm_dir.clone(),
-            YearlyRule { prefix: "esm".into(), days_per_year: self.params.days_per_year },
-        );
-        let mut year_refs = Vec::new();
-        let mut record_prev = None;
-        for group in
-            watcher.poll().map_err(WorkflowError::io(WorkflowStage::Streaming, &esm_dir))?
-        {
-            let refs = self
-                .submit_year_analysis(
-                    &group.key,
-                    group.files,
-                    &baseline.outputs[0],
-                    &baseline.outputs[1],
-                    &model.outputs[0],
-                    record_prev.as_ref(),
-                )
-                .map_err(WorkflowError::dataflow(WorkflowStage::Analysis))?;
-            record_prev = refs.record.clone();
-            year_refs.push(refs);
-        }
-        self.rt.barrier().map_err(WorkflowError::dataflow(WorkflowStage::Barrier))?;
-        self.collect_report(start.elapsed(), &year_refs)
-    }
 }
 
 /// Registers the case study with an HPCWaaS Execution API instance under
@@ -188,8 +137,8 @@ mod tests {
             }
         }
         let st = report.stream.as_ref().expect("streaming section");
-        assert_eq!(st.years_streamed + st.fallback_years, 2);
-        assert!(st.years_streamed >= 1, "at least one year should stream in-memory");
+        assert_eq!(st.years_streamed, 2, "every year simulated in-process streams in memory");
+        assert_eq!(st.fallback_years, 0, "no year of an unfailed run comes from its files");
         assert_eq!(st.record_years, 2, "record state folded both years");
         assert!(st.cnn_items > 0, "CNN service saw requests");
         assert!(st.cnn_batches > 0);
@@ -201,6 +150,33 @@ mod tests {
         assert_eq!(report.function_counts.len(), 19, "{:?}", report.function_counts);
         assert_eq!(report.metrics.failed, 0);
         assert_eq!(report.metrics.cancelled, 0);
+    }
+
+    /// The sequential baseline on the streaming plane: after the barrier
+    /// every year comes back from its daily files, the record chain folds
+    /// them, and the record products are byte-identical to the pipelined
+    /// streaming run's.
+    #[test]
+    fn sequential_streaming_exports_the_pipelined_record_products() {
+        let mk = |name: &str| {
+            let mut p = WorkflowParams::test_scale(tmp(name));
+            p.years = 2;
+            p.days_per_year = 8;
+            p.train_samples = 80;
+            p.train_epochs = 2;
+            p.streaming = true;
+            p
+        };
+        let seq = run_sequential(mk("seq-stream")).unwrap();
+        let pipe = run_pipelined(mk("pipe-stream")).unwrap();
+        let (s, p) = (seq.stream.unwrap(), pipe.stream.unwrap());
+        assert_eq!((s.years_streamed, s.fallback_years, s.record_years), (0, 2, 2));
+        assert_eq!(s.record_paths.len(), 7, "6 wave maps + etccdi");
+        for (a, b) in s.record_paths.iter().zip(&p.record_paths) {
+            assert_eq!(a.file_name(), b.file_name());
+            assert_eq!(std::fs::read(a).unwrap(), std::fs::read(b).unwrap(), "{a:?}");
+        }
+        assert_eq!(seq.function_counts, pipe.function_counts);
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //! Modules:
 //!
 //! * [`params`] — workflow parameters (also parseable from HPCWaaS inputs);
-//! * [`casestudy`] — the task definitions (17 distinct task functions,
-//!   matching the paper's Figure 3 coloring) and the pipelined driver;
-//! * [`endtoend`] — sequential vs pipelined whole-workflow drivers
+//! * [`casestudy`] — the task definitions (18 distinct task functions,
+//!   matching the paper's Figure 3 coloring, plus `stream_record` on the
+//!   streaming plane) and the one driver behind every run mode;
+//! * [`endtoend`] — the sequential and pipelined entry points
 //!   (experiment C1) and the HPCWaaS-registered entrypoint;
 //! * [`reporting`] — run reports (what the scientist gets back);
 //! * [`error`] — typed workflow-outcome errors naming the failing stage;

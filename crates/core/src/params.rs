@@ -51,7 +51,7 @@ pub struct WorkflowParams {
     pub task_retries: u32,
     /// Base delay of the exponential retry backoff.
     pub retry_base_ms: u64,
-    /// Dataflow scheduling policy (fifo | locality | heft | lookahead).
+    /// Dataflow scheduling policy (fifo | locality | heft).
     pub sched_policy: dataflow::Policy,
     /// Streaming data plane: hand completed years to analytics through an
     /// in-memory channel (files still written as the durable fallback).
@@ -177,9 +177,8 @@ impl WorkflowParams {
     /// (`test_small` | `demo` | `NLATxNLON`), `scenario`
     /// (`historical` | `ssp245` | `ssp585`), `seed`, `workers`,
     /// `io_servers`, `nfrag`, `checkpoint`, `task_retries`,
-    /// `retry_base_ms`, `policy` (`fifo` | `locality` | `heft` |
-    /// `lookahead`), `streaming` (`true` | `false`), `stream_depth`,
-    /// `cnn_batch`.
+    /// `retry_base_ms`, `policy` (`fifo` | `locality` | `heft`),
+    /// `streaming` (`true` | `false`), `stream_depth`, `cnn_batch`.
     pub fn apply_inputs(mut self, inputs: &BTreeMap<String, String>) -> Result<Self, String> {
         for (k, v) in inputs {
             match k.as_str() {
@@ -470,13 +469,16 @@ mod tests {
     #[test]
     fn policy_input_selects_scheduler() {
         let mut inputs = BTreeMap::new();
-        inputs.insert("policy".to_string(), "lookahead".to_string());
+        inputs.insert("policy".to_string(), "locality".to_string());
         let p = base().apply_inputs(&inputs).unwrap();
-        assert_eq!(p.sched_policy, dataflow::Policy::Lookahead);
+        assert_eq!(p.sched_policy, dataflow::Policy::Locality);
 
-        let mut inputs = BTreeMap::new();
-        inputs.insert("policy".to_string(), "sjf".to_string());
-        assert!(base().apply_inputs(&inputs).is_err());
+        for removed_or_unknown in ["lookahead", "sjf"] {
+            let mut inputs = BTreeMap::new();
+            inputs.insert("policy".to_string(), removed_or_unknown.to_string());
+            let err = base().apply_inputs(&inputs).unwrap_err();
+            assert!(err.contains("expected fifo|locality|heft"), "{err}");
+        }
 
         let p = WorkflowParams::builder(std::env::temp_dir().join("wfp-pol"))
             .sched_policy(dataflow::Policy::Heft)

@@ -45,8 +45,8 @@ pub struct YearReport {
 pub struct StreamSummary {
     /// Years handed to analytics through the in-memory channel.
     pub years_streamed: usize,
-    /// Years picked up from daily files instead (checkpoint restores,
-    /// missed sends — the durable fallback path).
+    /// Years read back from their daily files instead: checkpoint-restored
+    /// years, and every year of the sequential baseline.
     pub fallback_years: usize,
     /// Total time the simulation spent blocked on a full year channel.
     pub stall_us: u64,

@@ -19,8 +19,8 @@
 //! * **Constraints** — tasks can require cores, memory or an accelerator
 //!   (`@constraint` decorator) and are only placed on matching workers.
 //! * **Pluggable scheduling** — a [`scheduler::Scheduler`] trait with a
-//!   four-policy portfolio (FIFO, data-locality, HEFT upward-rank,
-//!   one-step lookahead), all pricing data movement through the shared
+//!   three-policy portfolio (FIFO, data-locality, HEFT upward-rank),
+//!   all pricing data movement through the shared
 //!   [`cost::CostModel`] (per-link bandwidth + latency, contention,
 //!   storage rates) and measured per-task durations, with transfer
 //!   accounting so the locality claim of the paper is measurable

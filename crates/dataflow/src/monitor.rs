@@ -334,7 +334,13 @@ mod tests {
     fn non_task_events_are_ignored() {
         let mut f = StatusFold::new();
         f.apply(&EventKind::QueueDepth { ready: 5, running: 5 });
-        f.apply(&EventKind::SpanCompleted { name: "x", micros: 1 });
+        f.apply(&EventKind::SpanEnded {
+            name: "x".into(),
+            trace: 1,
+            span: 2,
+            parent: 0,
+            micros: 1,
+        });
         assert!(f.is_empty());
         assert_eq!(f.snapshot().total(), 0);
     }

@@ -52,7 +52,7 @@ pub const COLD_BYTES_PER_US: u64 = 1_000;
 /// Online per-task-name duration statistics.
 ///
 /// The runtime records every completed attempt; the cost-aware schedulers
-/// (HEFT upward ranks, Lookahead finish-time estimates) read the means
+/// (HEFT upward ranks) read the means
 /// back. Before the first completion of a name the estimate falls back to
 /// a byte-proportional cold-start guess, so ranking still differentiates
 /// deep chains from shallow ones on the very first workflow run.

@@ -112,10 +112,6 @@ pub enum EventKind {
     /// `execution` names the primary execution the waiter attached to.
     ExecutionCoalesced { execution: u64, workflow: Arc<str>, tenant: Arc<str> },
 
-    // --- generic ------------------------------------------------------
-    /// A named code span completed (see [`crate::span`]).
-    SpanCompleted { name: &'static str, micros: u64 },
-
     // --- trace: hierarchical causal spans -----------------------------
     /// A hierarchical span opened (see [`crate::trace`]). `parent` is 0
     /// for trace roots.
@@ -167,7 +163,6 @@ impl EventKind {
             EventKind::ExecutionQueued { .. } => "execution_queued",
             EventKind::ExecutionRejected { .. } => "execution_rejected",
             EventKind::ExecutionCoalesced { .. } => "execution_coalesced",
-            EventKind::SpanCompleted { .. } => "span_completed",
             EventKind::SpanStarted { .. } => "span_started",
             EventKind::SpanEnded { .. } => "span_ended",
             EventKind::FaultInjected { .. } => "fault_injected",
@@ -186,7 +181,6 @@ impl EventKind {
             | EventKind::StepCompleted { micros, .. }
             | EventKind::FileWritten { micros, .. }
             | EventKind::ExecutionFinished { micros, .. }
-            | EventKind::SpanCompleted { micros, .. }
             | EventKind::SpanEnded { micros, .. } => Some(*micros),
             _ => None,
         }
@@ -232,7 +226,9 @@ mod tests {
 
     #[test]
     fn micros_only_for_span_like_events() {
-        assert_eq!(EventKind::SpanCompleted { name: "x", micros: 7 }.micros(), Some(7));
+        let ended =
+            EventKind::SpanEnded { name: "x".into(), trace: 1, span: 2, parent: 0, micros: 7 };
+        assert_eq!(ended.micros(), Some(7));
         assert_eq!(EventKind::TaskReady { task: 1 }.micros(), None);
     }
 
