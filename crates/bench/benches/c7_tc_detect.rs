@@ -4,7 +4,9 @@
 //! Throughput per timestep of the two approaches the workflow integrates,
 //! on real simulated fields containing cyclones. The CNN path includes
 //! its full preprocessing (regrid → tile → scale), matching the paper's
-//! pipeline; the deterministic path is the criteria detector. Accuracy
+//! pipeline; `cnn_inference_only_step` drops the regrid and
+//! `cnn_inference_batch_step` times the batched model forward alone. The
+//! deterministic path is the criteria detector. Accuracy
 //! for both is reported by `tests/detection_quality.rs` and EXPERIMENTS.md.
 
 use bench::{quiet_fields, sample_fieldset, trained_cnn};
@@ -16,7 +18,7 @@ fn bench(c: &mut Criterion) {
     let active = sample_fieldset(1);
     let quiet = quiet_fields(48, 72);
     let params = DetectorParams::default();
-    let mut cnn = trained_cnn();
+    let cnn = trained_cnn();
     let grid = analysis_grid(esm::atmos::tc_radius_deg(&active.psl.grid), cnn.patch);
 
     let mut g = c.benchmark_group("c7_tc_detect");
@@ -55,6 +57,14 @@ fn bench(c: &mut Criterion) {
     g.bench_function("cnn_inference_only_step", |b| {
         let regridded = active.regrid(&grid);
         b.iter(|| std::hint::black_box(cnn.localize_set(&regridded)));
+    });
+
+    // The model alone: one step's tiles, already extracted and
+    // standardized, as a single batch through the inference net.
+    g.bench_function("cnn_inference_batch_step", |b| {
+        let r = active.regrid(&grid);
+        let (_, batch) = cnn.tile_batch([&r.psl, &r.wind, &r.tas, &r.vort]);
+        b.iter(|| std::hint::black_box(cnn.infer_batch(&batch)));
     });
 
     g.finish();

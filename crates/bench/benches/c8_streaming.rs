@@ -226,10 +226,7 @@ fn bench(c: &mut Criterion) {
     // service, one point per max_batch. Requests are submitted up front
     // (the workflow submits a replica's whole year the same way), so the
     // dispatcher can actually fill batches.
-    let model_path = {
-        drop(bench::trained_cnn());
-        std::env::temp_dir().join("bench-cnn").join("bench-cnn.tml")
-    };
+    let model = Arc::new(bench::trained_cnn());
     let analysis = extremes::tc::cnn::analysis_grid(
         esm::atmos::tc_radius_deg(&bench::sample_fieldset(0).psl.grid),
         16,
@@ -237,8 +234,7 @@ fn bench(c: &mut Criterion) {
     const REQS: usize = 64;
     for max_batch in [1usize, 2, 4, 8, 16] {
         let svc = CnnService::new(
-            16,
-            model_path.clone(),
+            Arc::clone(&model),
             BatchPolicy { max_batch, ..BatchPolicy::default() },
         );
         let t0 = Instant::now();
@@ -246,7 +242,7 @@ fn bench(c: &mut Criterion) {
             .map(|i| svc.submit(bench::sample_fieldset(i % SPD), analysis.clone()))
             .collect();
         for t in tickets {
-            t.wait().unwrap();
+            t.wait();
         }
         let wall_us = t0.elapsed().as_micros();
         let stats = svc.stats();

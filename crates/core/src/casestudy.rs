@@ -275,7 +275,9 @@ pub struct CaseStudy {
     pub params: WorkflowParams,
     pub rt: Runtime<WfData>,
     pub client: Client,
-    pub cnn: Arc<Mutex<TcCnn>>,
+    /// The pre-trained CNN, loaded once per run and shared immutably by
+    /// every staged CNN chunk and by the streaming inference service.
+    pub cnn: Arc<TcCnn>,
     sim: Arc<Mutex<Simulation>>,
     truth: Arc<Mutex<Vec<YearEvents>>>,
     /// Shared batched CNN inference service (streaming runs only).
@@ -321,18 +323,18 @@ impl CaseStudy {
             config = config.with_checkpoint(ckpt);
         }
         let rt = Runtime::new(config);
+        let cnn = Arc::new(cnn);
         // The batched inference service only exists on the streaming
-        // plane; staged runs keep the per-chunk model instances.
+        // plane; staged chunks call the shared model directly.
         let cnn_service = params.streaming.then(|| {
             Arc::new(CnnService::new(
-                params.patch,
-                model_file.clone(),
+                Arc::clone(&cnn),
                 BatchPolicy { max_batch: params.cnn_batch, ..BatchPolicy::default() },
             ))
         });
         Ok(CaseStudy {
             client: Client::connect(params.io_servers),
-            cnn: Arc::new(Mutex::new(cnn)),
+            cnn,
             sim: Arc::new(Mutex::new(sim)),
             truth: Arc::new(Mutex::new(Vec::new())),
             cnn_service,
@@ -480,7 +482,7 @@ impl CaseStudy {
     pub(crate) fn submit_load_model(&self) -> Result<TaskHandle, Error> {
         let cnn = Arc::clone(&self.cnn);
         self.rt.task("load_model").writes(&["tc_model"]).run(move |_| {
-            let n = cnn.lock().param_count();
+            let n = cnn.param_count();
             Ok(vec![WfData::Num(n as f64)])
         })
     }
@@ -682,12 +684,7 @@ impl CaseStudy {
             let parts: Arc<Mutex<BTreeMap<u32, String>>> = Arc::new(Mutex::new(BTreeMap::new()));
             let engine = match &self.cnn_service {
                 Some(svc) => CnnEngine::Service(Arc::clone(svc)),
-                None => CnnEngine::PerChunk(
-                    self.params
-                        .model_path
-                        .clone()
-                        .unwrap_or_else(|| self.params.out_dir.join("tc_cnn.tml")),
-                ),
+                None => CnnEngine::Chunks(Arc::clone(&self.cnn)),
             };
             self.rt
                 .task("tc_cnn_localize")
@@ -1452,16 +1449,15 @@ impl TcInput {
     }
 }
 
-/// Which engine localizes cyclones in a replica's timesteps. The engines
-/// give identical rows; they stay split because the shared service holds
-/// every queued request's fields, which costs the staged run more peak
-/// memory than per-chunk models.
+/// Which engine localizes cyclones in a replica's timesteps. Both run
+/// the same shared model and give identical rows; they stay split only
+/// because the service holds every queued request's fields, which costs
+/// the staged run more peak memory than reading steps chunk by chunk.
 enum CnnEngine {
     /// The shared batched inference service (streaming runs).
     Service(Arc<CnnService>),
-    /// One model instance per pool chunk, loaded from this file (staged
-    /// runs; inference mutates layer caches).
-    PerChunk(PathBuf),
+    /// Pool chunks of timesteps calling the shared model (staged runs).
+    Chunks(Arc<TcCnn>),
 }
 
 /// Task #16 body (one replica's share): CNN localization over timesteps
@@ -1469,8 +1465,8 @@ enum CnnEngine {
 /// `day,step,lat,lon,confidence`, step-ascending.
 ///
 /// The service path submits every request up front (so the service can
-/// batch them) and awaits them in step order. The per-chunk path splits
-/// the timesteps into at most pool-width contiguous chunks that run
+/// batch them) and awaits them in step order. The chunk path splits the
+/// timesteps into at most pool-width contiguous chunks that run
 /// concurrently on the shared [`par`] pool and concatenate in chunk order.
 fn cnn_localize_steps(
     input: &Path,
@@ -1503,17 +1499,16 @@ fn cnn_localize_steps(
                 tickets.push((s, svc.submit(set, analysis.clone())));
             }
             for (s, ticket) in tickets {
-                push_rows(&mut csv, s, &ticket.wait()?);
+                push_rows(&mut csv, s, &ticket.wait());
             }
         }
-        CnnEngine::PerChunk(model_file) => {
+        CnnEngine::Chunks(model) => {
             if my_steps.is_empty() {
                 return Ok(csv);
             }
             let width = par::global().threads().min(my_steps.len());
             let chunks: Vec<&[usize]> = my_steps.chunks(my_steps.len().div_ceil(width)).collect();
             let parts: Vec<Result<String, String>> = par::par_map(&chunks, |chunk| {
-                let mut model = TcCnn::load(patch, model_file).map_err(|e| e.to_string())?;
                 let mut part = String::new();
                 for &s in chunk.iter() {
                     let set = tc.fields(s).map_err(|e| e.to_string())?.regrid(&analysis);
@@ -1774,6 +1769,27 @@ mod tests {
         assert_eq!(handed.len(), 2, "both years travel over the channel");
         for (y, year) in handed.iter().enumerate() {
             assert!(year.upgrade().is_none(), "streamed year {y} outlived its consumers");
+        }
+    }
+
+    /// The model is loaded once, in `CaseStudy::new`; an unreadable model
+    /// file fails set-up with a typed error, before any task runs.
+    #[test]
+    fn missing_model_file_surfaces_as_error() {
+        let dir = tmp("bad-model");
+        let junk = dir.join("junk.tml");
+        std::fs::write(&junk, b"not a model").unwrap();
+        for path in [junk, dir.join("no-such-dir").join("model.tml")] {
+            let mut params = WorkflowParams::test_scale(dir.clone());
+            params.model_path = Some(path.clone());
+            params.train_samples = 8;
+            params.train_epochs = 1;
+            params.finetune_days = 0;
+            match CaseStudy::new(params) {
+                Err(WorkflowError::Model { .. }) => {}
+                Err(e) => panic!("{path:?}: expected a model error, got {e}"),
+                Ok(_) => panic!("{path:?}: set-up succeeded without a usable model file"),
+            }
         }
     }
 

@@ -8,12 +8,16 @@
 //! patches of `tinyml::data`, standing in for the historical reanalysis
 //! the authors used) and serialized, so the workflow's inference tasks
 //! load a *pre-trained* model exactly as the paper describes.
+//!
+//! Training runs the `tinyml` layer stack; inference runs its immutable
+//! [`InferenceNet`] snapshot, so one loaded [`TcCnn`] serves every thread.
 
 use gridded::{Field2, TileSpec, Tiling, ZScoreScaler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::Path;
 use tinyml::data::{generate_patches, PatchGenConfig, PatchSample};
+use tinyml::infer::InferenceNet;
 use tinyml::layers::{Conv2d, Dense, Flatten, MaxPool2d, ReLU, Sigmoid};
 use tinyml::loss::detection_loss;
 use tinyml::net::Sequential;
@@ -131,7 +135,10 @@ pub fn extract_labeled_patches(
 /// patches (`psl`, `wind`, `tas`, `vort`), each patch standardized
 /// per-channel before inference.
 pub struct TcCnn {
+    /// The trainable layer stack.
     net: Sequential,
+    /// Inference snapshot of `net`, rebuilt whenever `net` changes.
+    infer: InferenceNet,
     /// Patch edge length in cells.
     pub patch: usize,
     /// Detection threshold on the presence output.
@@ -139,11 +146,19 @@ pub struct TcCnn {
 }
 
 impl TcCnn {
-    /// Builds the architecture for a given (even) patch size.
+    /// Builds the model for a given patch size (a multiple of 4).
     pub fn new(patch: usize, seed: u64) -> Self {
+        let net = Self::architecture(patch, seed);
+        let infer = InferenceNet::new(&net, &[4, patch, patch]);
+        TcCnn { net, infer, patch, threshold: 0.5 }
+    }
+
+    /// The localization network's layer stack over `4 × patch × patch`
+    /// inputs, freshly initialized from `seed`.
+    pub fn architecture(patch: usize, seed: u64) -> Sequential {
         assert!(patch.is_multiple_of(4), "patch size must be divisible by 4 (two pools)");
         let after_pool = patch / 4;
-        let net = Sequential::new()
+        Sequential::new()
             .add(Conv2d::new(4, 8, 3, 1, seed))
             .add(ReLU::new())
             .add(MaxPool2d::new(2))
@@ -154,8 +169,7 @@ impl TcCnn {
             .add(Dense::new(16 * after_pool * after_pool, 48, seed + 2))
             .add(ReLU::new())
             .add(Dense::new(48, 3, seed + 3))
-            .add(Sigmoid::new());
-        TcCnn { net, patch, threshold: 0.5 }
+            .add(Sigmoid::new())
     }
 
     /// Standardizes a 4-channel patch per channel (the "feature scaling"
@@ -219,19 +233,26 @@ impl TcCnn {
             }
             last = epoch_loss / data.len() as f32;
         }
+        self.infer = InferenceNet::new(&self.net, &[4, self.patch, self.patch]);
         last
     }
 
     /// Runs the model on one standardized patch, returning
     /// `(presence probability, cy, cx)` in normalized patch coordinates.
-    pub fn infer_patch(&mut self, patch: &Tensor) -> (f32, f32, f32) {
-        let y = self.net.forward(patch);
-        (y.data[0], y.data[1], y.data[2])
+    pub fn infer_patch(&self, patch: &Tensor) -> (f32, f32, f32) {
+        let y = self.infer_batch(&patch.data);
+        (y[0], y[1], y[2])
+    }
+
+    /// Runs the model on standardized `4 × patch × patch` samples laid
+    /// back to back; returns `[presence, cy, cx]` per sample, back to back.
+    pub fn infer_batch(&self, batch: &[f32]) -> Vec<f32> {
+        self.infer.forward_batch(batch)
     }
 
     /// Classification accuracy + mean localization error (in pixels, on
     /// true positives) over a labelled evaluation set.
-    pub fn evaluate(&mut self, samples: usize, seed: u64) -> (f64, f64) {
+    pub fn evaluate(&self, samples: usize, seed: u64) -> (f64, f64) {
         let cfg = PatchGenConfig { size: self.patch, positive_fraction: 0.5, noise: 0.3 };
         let mut data = generate_patches(&cfg, samples, seed);
         let mut correct = 0usize;
@@ -264,37 +285,47 @@ impl TcCnn {
     /// grid; the tiling drops partial edge tiles (as the paper's regrid
     /// step guarantees divisibility, callers regrid first when needed).
     pub fn localize(
-        &mut self,
+        &self,
         psl: &Field2,
         wind: &Field2,
         tas: &Field2,
         vort: &Field2,
     ) -> Vec<CnnDetection> {
-        let tiling = Tiling::plan(psl.grid.clone(), TileSpec { patch: self.patch });
+        let p = self.patch;
+        let (tiling, batch) = self.tile_batch([psl, wind, tas, vort]);
         let mut out = Vec::new();
-        for r in 0..tiling.rows {
-            for c in 0..tiling.cols {
-                let mut data = Vec::with_capacity(4 * self.patch * self.patch);
-                data.extend(tiling.extract(psl, r, c));
-                data.extend(tiling.extract(wind, r, c));
-                data.extend(tiling.extract(tas, r, c));
-                data.extend(tiling.extract(vort, r, c));
-                let mut patch = Tensor::from_vec(&[4, self.patch, self.patch], data);
-                Self::standardize(&mut patch);
-                let (p, cy, cx) = self.infer_patch(&patch);
-                if p > self.threshold {
-                    let py = ((cy * self.patch as f32) as usize).min(self.patch - 1);
-                    let px = ((cx * self.patch as f32) as usize).min(self.patch - 1);
-                    let (lat, lon) = tiling.to_latlon(r, c, py, px);
-                    out.push(CnnDetection { lat, lon, confidence: p, tile: (r, c) });
-                }
+        for (t, pred) in self.infer_batch(&batch).chunks_exact(3).enumerate() {
+            let (prob, cy, cx) = (pred[0], pred[1], pred[2]);
+            if prob > self.threshold {
+                let (r, c) = (t / tiling.cols, t % tiling.cols);
+                let py = ((cy * p as f32) as usize).min(p - 1);
+                let px = ((cx * p as f32) as usize).min(p - 1);
+                let (lat, lon) = tiling.to_latlon(r, c, py, px);
+                out.push(CnnDetection { lat, lon, confidence: prob, tile: (r, c) });
             }
         }
         out
     }
 
+    /// Every tile of one timestep's `[psl, wind, tas, vort]` as one
+    /// `N×4×P×P` batch in row-major tile order, each channel standardized
+    /// where it is extracted.
+    pub fn tile_batch(&self, fields: [&Field2; 4]) -> (Tiling, Vec<f32>) {
+        let p = self.patch;
+        let tiling = Tiling::plan(fields[0].grid.clone(), TileSpec { patch: p });
+        let mut batch = vec![0.0; tiling.len() * 4 * p * p];
+        for (t, sample) in batch.chunks_exact_mut(4 * p * p).enumerate() {
+            let (r, c) = (t / tiling.cols, t % tiling.cols);
+            for (field, plane) in fields.iter().zip(sample.chunks_exact_mut(p * p)) {
+                tiling.extract_into(field, r, c, plane);
+                ZScoreScaler::fit(plane).apply_slice(plane);
+            }
+        }
+        (tiling, batch)
+    }
+
     /// Convenience wrapper over [`TcCnn::localize`] for a [`FieldSet`].
-    pub fn localize_set(&mut self, set: &FieldSet) -> Vec<CnnDetection> {
+    pub fn localize_set(&self, set: &FieldSet) -> Vec<CnnDetection> {
         self.localize(&set.psl, &set.wind, &set.tas, &set.vort)
     }
 
@@ -307,6 +338,7 @@ impl TcCnn {
     pub fn load(patch: usize, path: &Path) -> Result<Self, ModelError> {
         let mut model = TcCnn::new(patch, 0);
         load_model(&mut model.net, path)?;
+        model.infer = InferenceNet::new(&model.net, &[4, patch, patch]);
         Ok(model)
     }
 
@@ -337,7 +369,7 @@ mod tests {
 
     #[test]
     fn trained_model_classifies_and_localizes() {
-        let mut m = trained();
+        let m = trained();
         // Held-out seed.
         let (acc, err) = m.evaluate(120, 999);
         assert!(acc > 0.8, "held-out accuracy {acc}");
@@ -346,7 +378,7 @@ mod tests {
 
     #[test]
     fn untrained_model_is_near_chance() {
-        let mut m = TcCnn::new(16, 11);
+        let m = TcCnn::new(16, 11);
         let (acc, _) = m.evaluate(100, 999);
         assert!(acc < 0.75, "untrained accuracy {acc} suspiciously high");
     }
@@ -370,9 +402,9 @@ mod tests {
         let dir = std::env::temp_dir().join("extremes-cnn");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("tc.tml");
-        let mut m = trained();
+        let m = trained();
         m.save(&path).unwrap();
-        let mut loaded = TcCnn::load(16, &path).unwrap();
+        let loaded = TcCnn::load(16, &path).unwrap();
         let cfg = PatchGenConfig { size: 16, ..Default::default() };
         let mut sample = generate_patches(&cfg, 1, 5)[0].0.clone();
         TcCnn::standardize(&mut sample);
@@ -382,9 +414,15 @@ mod tests {
     }
 
     #[test]
+    fn missing_model_file_surfaces_as_error() {
+        let err = TcCnn::load(16, Path::new("/nonexistent/model.tml"));
+        assert!(matches!(err, Err(ModelError::Io(_))));
+    }
+
+    #[test]
     fn localize_finds_planted_vortex_and_georeferences() {
         use gridded::Grid;
-        let mut m = trained();
+        let m = trained();
         // 64x64 global grid = 4x4 tiles of 16. Plant one vortex mid-tile.
         let g = Grid::global(64, 64);
         let mut psl = Field2::constant(g.clone(), 0.0);

@@ -1,21 +1,18 @@
 //! Batched CNN inference service.
 //!
-//! The staged pipeline loads a private [`TcCnn`] per chunk of timesteps —
-//! cheap when chunks are large, but the streaming plane produces many
-//! small concurrent regrid→tile→infer requests (several years in flight,
-//! gang replicas per year), and per-request model loads dominate. This
-//! service queues requests onto a *shared* model pool: a dispatcher
-//! assembles batches under a size/deadline policy (flush at `max_batch`
-//! requests or when the oldest request has waited `max_wait`), then fans
-//! the batch out on the [`par`] pool, checking model replicas out of a
-//! pool that is populated once per concurrent worker rather than once per
-//! request. Results are bitwise-identical to a per-request model load —
-//! every timestep runs the exact same regrid→tile→standardize→infer
-//! float path — so batch size trades only latency against throughput.
+//! The streaming plane produces many small concurrent regrid→tile→infer
+//! requests (several years in flight, gang replicas per year). This
+//! service queues them in front of one shared, immutable [`TcCnn`] — the
+//! same instance the staged pipeline's chunks call directly. A
+//! dispatcher assembles batches under a size/deadline policy (flush at
+//! `max_batch` requests or when the oldest request has waited
+//! `max_wait`), then fans the batch out on the [`par`] pool. Every
+//! timestep runs the exact regrid→tile→standardize→infer float path of a
+//! direct [`TcCnn::localize_set`] call, so results are bitwise identical
+//! and batch size trades only latency against throughput.
 
 use super::cnn::{CnnDetection, FieldSet, TcCnn};
 use std::collections::VecDeque;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -56,11 +53,9 @@ impl BatchStats {
     }
 }
 
-type JobResult = Result<Vec<CnnDetection>, String>;
-
 /// One-shot result slot the submitting thread waits on.
 struct Slot {
-    result: Mutex<Option<JobResult>>,
+    result: Mutex<Option<Vec<CnnDetection>>>,
     ready: Condvar,
 }
 
@@ -81,10 +76,7 @@ struct Inner {
     queue: Mutex<Queue>,
     arrived: Condvar,
     policy: BatchPolicy,
-    patch: usize,
-    model_path: PathBuf,
-    /// Idle model replicas; grown lazily to the batch parallelism.
-    models: Mutex<Vec<TcCnn>>,
+    model: Arc<TcCnn>,
     batches: AtomicU64,
     items: AtomicU64,
     wait_us: AtomicU64,
@@ -92,27 +84,11 @@ struct Inner {
 }
 
 impl Inner {
-    /// Runs `f` with a checked-out model replica, loading one if all are
-    /// busy. The pool ends up holding one replica per concurrent worker.
-    fn with_model<R>(&self, f: impl FnOnce(&mut TcCnn) -> R) -> Result<R, String> {
-        let cached = self.models.lock().unwrap().pop();
-        let mut model = match cached {
-            Some(m) => m,
-            None => TcCnn::load(self.patch, &self.model_path)
-                .map_err(|e| format!("cnn service: load {:?}: {e:?}", self.model_path))?,
-        };
-        let r = f(&mut model);
-        self.models.lock().unwrap().push(model);
-        Ok(r)
-    }
-
     fn process_batch(&self, batch: Vec<Job>) {
         let n = batch.len();
         let wait_us = batch[0].enqueued.elapsed().as_micros() as u64;
-        let results: Vec<JobResult> = par::par_map(&batch, |job| {
-            let analysis = job.set.regrid(&job.grid);
-            self.with_model(|m| m.localize_set(&analysis))
-        });
+        let results: Vec<Vec<CnnDetection>> =
+            par::par_map(&batch, |job| self.model.localize_set(&job.set.regrid(&job.grid)));
         // Account before delivering: a waiter may call `stats()` the
         // instant its slot resolves, and must see its own batch counted.
         self.batches.fetch_add(1, Ordering::Relaxed);
@@ -167,7 +143,7 @@ pub struct Ticket {
 
 impl Ticket {
     /// Blocks until the batch containing this request is flushed.
-    pub fn wait(self) -> JobResult {
+    pub fn wait(self) -> Vec<CnnDetection> {
         let mut guard = self.slot.result.lock().unwrap();
         loop {
             if let Some(r) = guard.take() {
@@ -178,22 +154,20 @@ impl Ticket {
     }
 }
 
-/// Shared batched-inference front end over one trained model file.
+/// Shared batched-inference front end over one trained model.
 pub struct CnnService {
     inner: Arc<Inner>,
     dispatcher: Option<std::thread::JoinHandle<()>>,
 }
 
 impl CnnService {
-    /// Starts the dispatcher for the model saved at `model_path`.
-    pub fn new(patch: usize, model_path: PathBuf, policy: BatchPolicy) -> Self {
+    /// Starts the dispatcher in front of `model`.
+    pub fn new(model: Arc<TcCnn>, policy: BatchPolicy) -> Self {
         let inner = Arc::new(Inner {
             queue: Mutex::new(Queue { jobs: VecDeque::new(), shutdown: false }),
             arrived: Condvar::new(),
             policy: BatchPolicy { max_batch: policy.max_batch.max(1), ..policy },
-            patch,
-            model_path,
-            models: Mutex::new(Vec::new()),
+            model,
             batches: AtomicU64::new(0),
             items: AtomicU64::new(0),
             wait_us: AtomicU64::new(0),
@@ -222,7 +196,7 @@ impl CnnService {
     }
 
     /// Submit-and-wait convenience.
-    pub fn infer(&self, set: FieldSet, grid: gridded::Grid) -> JobResult {
+    pub fn infer(&self, set: FieldSet, grid: gridded::Grid) -> Vec<CnnDetection> {
         self.submit(set, grid).wait()
     }
 
@@ -256,16 +230,10 @@ mod tests {
     use super::*;
     use gridded::{Field2, Grid};
 
-    fn model_file() -> (usize, PathBuf) {
-        let dir = std::env::temp_dir().join("extremes-serve");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tc-serve.tml");
-        if !path.exists() {
-            let mut m = TcCnn::new(16, 7);
-            m.train_synthetic(120, 6, 100);
-            m.save(&path).unwrap();
-        }
-        (16, path)
+    fn model() -> Arc<TcCnn> {
+        let mut m = TcCnn::new(16, 7);
+        m.train_synthetic(120, 6, 100);
+        Arc::new(m)
     }
 
     /// Deterministic pseudo-random fields on a native grid.
@@ -287,12 +255,11 @@ mod tests {
 
     #[test]
     fn batched_results_match_direct_inference() {
-        let (patch, path) = model_file();
+        let model = model();
         let native = Grid::global(24, 36);
-        let analysis = super::super::cnn::analysis_grid(5.0, patch);
+        let analysis = super::super::cnn::analysis_grid(5.0, model.patch);
         let service = CnnService::new(
-            patch,
-            path.clone(),
+            Arc::clone(&model),
             BatchPolicy { max_batch: 4, max_wait: Duration::from_millis(50) },
         );
         let sets: Vec<FieldSet> = (0..6).map(|s| field_set(s, &native)).collect();
@@ -302,12 +269,10 @@ mod tests {
         #[allow(clippy::needless_collect)]
         let tickets: Vec<Ticket> =
             sets.iter().map(|s| service.submit(s.clone(), analysis.clone())).collect();
-        let batched: Vec<Vec<CnnDetection>> =
-            tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        let batched: Vec<Vec<CnnDetection>> = tickets.into_iter().map(Ticket::wait).collect();
 
-        let mut direct_model = TcCnn::load(patch, &path).unwrap();
         for (set, got) in sets.iter().zip(&batched) {
-            let want = direct_model.localize_set(&set.regrid(&analysis));
+            let want = model.localize_set(&set.regrid(&analysis));
             assert_eq!(want.len(), got.len());
             for (w, g) in want.iter().zip(got) {
                 assert_eq!(
@@ -324,29 +289,17 @@ mod tests {
 
     #[test]
     fn deadline_flushes_a_lone_request() {
-        let (patch, path) = model_file();
+        let model = model();
         let native = Grid::global(24, 36);
-        let analysis = super::super::cnn::analysis_grid(5.0, patch);
+        let analysis = super::super::cnn::analysis_grid(5.0, model.patch);
         let service = CnnService::new(
-            patch,
-            path,
+            model,
             BatchPolicy { max_batch: 64, max_wait: Duration::from_millis(5) },
         );
         let t0 = Instant::now();
-        let out = service.infer(field_set(9, &native), analysis);
-        assert!(out.is_ok());
+        service.infer(field_set(9, &native), analysis);
         assert!(t0.elapsed() < Duration::from_secs(5), "deadline policy must flush");
         let stats = service.stats();
         assert_eq!((stats.batches, stats.items), (1, 1));
-    }
-
-    #[test]
-    fn missing_model_file_surfaces_as_error() {
-        let service =
-            CnnService::new(16, PathBuf::from("/nonexistent/model.tml"), BatchPolicy::default());
-        let native = Grid::global(24, 36);
-        let analysis = super::super::cnn::analysis_grid(5.0, 16);
-        let err = service.infer(field_set(1, &native), analysis);
-        assert!(err.is_err());
     }
 }

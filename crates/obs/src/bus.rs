@@ -145,6 +145,8 @@ impl Bus {
     /// Stamp an event (seq / timestamp / thread) *without* dispatching it.
     /// Used by components that keep their own per-object event logs (e.g.
     /// `hpcwaas` execution handles) while still sharing the bus clock.
+    /// Such events take `seq` numbers too, so a subscriber sees gaps in
+    /// the sequence but never a decrease.
     pub fn stamp(&self, kind: EventKind) -> Event {
         Event {
             seq: self.inner.seq.fetch_add(1, Ordering::Relaxed),
@@ -155,13 +157,16 @@ impl Bus {
         }
     }
 
+    /// Stamps and delivers one event. `seq` is taken inside the
+    /// subscriber critical section, so concurrent emitters reach every
+    /// queue in `seq` order.
     #[cold]
     fn dispatch(&self, kind: EventKind) {
+        let mut subs = self.inner.subs.lock().unwrap();
         let event = self.stamp(kind);
         if self.inner.flight.load(Ordering::Relaxed) {
             crate::flight::recorder().record(&event);
         }
-        let mut subs = self.inner.subs.lock().unwrap();
         let mut any_closed = false;
         let mut deepest = 0usize;
         let mut newly_dropped = 0u64;
@@ -362,6 +367,28 @@ mod tests {
         let got = rx.recv_timeout(Duration::from_secs(5)).expect("event should arrive");
         assert_eq!(got.kind, ready(42));
         h.join().unwrap();
+    }
+
+    #[test]
+    fn concurrent_emitters_deliver_in_seq_order() {
+        let bus = Bus::new();
+        let rx = bus.subscribe();
+        let emitters: Vec<_> = (0..4)
+            .map(|t| {
+                let bus = bus.clone();
+                std::thread::spawn(move || {
+                    for i in 0..2_000 {
+                        bus.emit(ready(t * 10_000 + i));
+                    }
+                })
+            })
+            .collect();
+        for h in emitters {
+            h.join().unwrap();
+        }
+        let seqs: Vec<u64> = rx.drain().iter().map(|e| e.seq).collect();
+        assert_eq!(seqs.len(), 8_000);
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "events delivered out of seq order");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! `dL/d(input)` while *accumulating* parameter gradients (the trainer zeroes
 //! them once per minibatch and averages).
 
+use crate::infer::{Activation, Frozen};
 use crate::tensor::Tensor;
 
 /// Below roughly this many multiply-accumulates a convolution is cheaper
@@ -20,7 +21,7 @@ const CONV_PAR_MIN_MACS: usize = 1 << 15;
 const CONV_LANES: usize = 8;
 
 /// Common interface over all layers.
-pub trait Layer: Send {
+pub trait Layer: Send + Sync {
     /// Forward pass; caches activations needed by the backward pass.
     fn forward(&mut self, x: &Tensor) -> Tensor;
     /// Backward pass: takes `dL/dy`, returns `dL/dx`, accumulates `dL/dθ`.
@@ -37,6 +38,9 @@ pub trait Layer: Send {
     fn zero_grad(&mut self) {}
     /// Diagnostic layer name.
     fn name(&self) -> &'static str;
+    /// Inference snapshot: geometry and weights, no caches
+    /// (see [`crate::infer::InferenceNet`]).
+    fn freeze(&self) -> Frozen;
 }
 
 /// Fully-connected layer: `y = W x + b`, `W: [out, in]`.
@@ -120,6 +124,15 @@ impl Layer for Dense {
 
     fn name(&self) -> &'static str {
         "dense"
+    }
+
+    fn freeze(&self) -> Frozen {
+        Frozen::Dense {
+            w: self.w.data.clone(),
+            b: self.b.data.clone(),
+            input: self.input_len(),
+            output: self.output_len(),
+        }
     }
 }
 
@@ -371,6 +384,17 @@ impl Layer for Conv2d {
     fn name(&self) -> &'static str {
         "conv2d"
     }
+
+    fn freeze(&self) -> Frozen {
+        Frozen::Conv2d {
+            w: self.w.data.clone(),
+            b: self.b.data.clone(),
+            in_ch: self.in_ch,
+            out_ch: self.out_ch,
+            kernel: self.kernel,
+            pad: self.pad,
+        }
+    }
 }
 
 /// Max pooling over non-overlapping `k × k` windows (stride = k). Input
@@ -434,6 +458,10 @@ impl Layer for MaxPool2d {
     fn name(&self) -> &'static str {
         "maxpool2d"
     }
+
+    fn freeze(&self) -> Frozen {
+        Frozen::MaxPool2d { k: self.k }
+    }
 }
 
 /// Flattens any tensor to rank 1 (and restores the shape on backward).
@@ -461,6 +489,10 @@ impl Layer for Flatten {
 
     fn name(&self) -> &'static str {
         "flatten"
+    }
+
+    fn freeze(&self) -> Frozen {
+        Frozen::Flatten
     }
 }
 
@@ -498,6 +530,10 @@ impl Layer for ReLU {
     fn name(&self) -> &'static str {
         "relu"
     }
+
+    fn freeze(&self) -> Frozen {
+        Frozen::Act(Activation::ReLU)
+    }
 }
 
 /// Logistic sigmoid.
@@ -530,6 +566,10 @@ impl Layer for Sigmoid {
     fn name(&self) -> &'static str {
         "sigmoid"
     }
+
+    fn freeze(&self) -> Frozen {
+        Frozen::Act(Activation::Sigmoid)
+    }
 }
 
 /// Hyperbolic tangent.
@@ -561,6 +601,10 @@ impl Layer for Tanh {
 
     fn name(&self) -> &'static str {
         "tanh"
+    }
+
+    fn freeze(&self) -> Frozen {
+        Frozen::Act(Activation::Tanh)
     }
 }
 

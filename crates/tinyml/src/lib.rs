@@ -8,6 +8,9 @@
 //! * differentiable layers ([`layers`]): 2-D convolution, max-pooling,
 //!   fully-connected, flatten, and ReLU/sigmoid/tanh activations;
 //! * a [`net::Sequential`] container with forward/backward passes;
+//! * an immutable, shareable inference snapshot of a trained net
+//!   ([`infer::InferenceNet`]): batches in lanes, fused conv+ReLU+pool,
+//!   no caches, bitwise equal to the training forward;
 //! * losses ([`loss`]): MSE and binary cross-entropy;
 //! * minibatch SGD with momentum ([`train`]);
 //! * binary model serialization ([`serialize`]) so the workflow can ship a
@@ -20,6 +23,7 @@
 //! finite-difference gradient checks for every layer.
 
 pub mod data;
+pub mod infer;
 pub mod layers;
 pub mod loss;
 pub mod net;
@@ -27,6 +31,7 @@ pub mod serialize;
 pub mod tensor;
 pub mod train;
 
+pub use infer::InferenceNet;
 pub use layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, ReLU, Sigmoid, Tanh};
 pub use net::Sequential;
 pub use tensor::Tensor;

@@ -1,5 +1,6 @@
 //! Sequential network container.
 
+use crate::infer::Frozen;
 use crate::layers::Layer;
 use crate::tensor::Tensor;
 
@@ -70,6 +71,11 @@ impl Sequential {
     /// Total trainable parameter count.
     pub fn param_count(&self) -> usize {
         self.params().iter().map(|t| t.len()).sum()
+    }
+
+    /// Inference snapshots of every layer, in order.
+    pub fn freeze(&self) -> Vec<Frozen> {
+        self.layers.iter().map(|l| l.freeze()).collect()
     }
 
     /// Layer names in order (diagnostics / architecture fingerprint).

@@ -26,6 +26,14 @@ for t in 1 4; do
   PAR_THREADS="$t" cargo test -p datacube --test fused_conformance -q
 done
 
+echo "== inference conformance: batched inference net vs training forward =="
+# The inference-only CNN path (packed weights, fused conv+ReLU+pool, one
+# batch per step) must equal the training stack's forward bit for bit;
+# the reference fans its conv out on the pool, so run it at two widths.
+for t in 1 4; do
+  PAR_THREADS="$t" cargo test -p extremes --test inference_conformance -q
+done
+
 echo "== smoke workflow with span tracing =="
 smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT
